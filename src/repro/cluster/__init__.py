@@ -10,8 +10,8 @@ for in-process shard failures, and the supervisor restarts the worker with
 deterministic capped-exponential backoff, a crash-loop breaker, and
 heartbeat-based hang detection.
 
-* :class:`ClusterIndex` — the coordinator: a ``ShardedIndex`` whose attempt
-  seams speak RPC; bit-identical answers, inherited degradation contract.
+* :class:`ClusterIndex` — the coordinator: a ``ShardedIndex`` whose shards
+  carry RPC clients; same attempt path, bit-identical answers.
 * :class:`RemoteShardClient` — per-shard HTTP client with the in-process
   failure taxonomy (transport → transient, ``CorruptionError`` payloads →
   persistent).

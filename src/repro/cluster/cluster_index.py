@@ -2,14 +2,18 @@
 
 :class:`ClusterIndex` is a :class:`~repro.index.sharded.ShardedIndex` whose
 shard engines live in *separate supervised processes* instead of in-process
-threads.  Only the three attempt/probe seams change — everything above them
-(scatter orchestration, retry/backoff, the health board, quarantine, the
-canonical candidate-union merge, degraded-answer policy, metrics, tracing)
-is inherited unchanged, which is the point: a worker process dying under
-``kill -9`` surfaces as an ordinary transient shard failure and takes
-exactly the code path a wedged in-process engine would.
+threads.  It adds no query-path code: it launches the supervisor and gives
+every shard record a :class:`~repro.cluster.client.RemoteShardClient`, and
+the one attempt path of :class:`~repro.index.sharded.ShardedIndex` then asks
+the worker for the same :func:`~repro.index.sharded.shard_answer` tuple it
+would compute in process.  Scatter orchestration, retry/backoff, the health
+board, quarantine, probes, the canonical candidate-union merge,
+degraded-answer policy, metrics and tracing are that class's, which is the
+point: a worker process dying under ``kill -9`` surfaces as an ordinary
+transient shard failure and takes exactly the code path a wedged in-process
+engine would.
 
-Identity contract (inherited, now across a process boundary):
+Identity contract (now across a process boundary):
 
 * **Healthy cluster** — answers are bit-identical to the in-process
   :class:`~repro.index.sharded.ShardedIndex` over the same snapshot, which
@@ -23,27 +27,22 @@ Identity contract (inherited, now across a process boundary):
 * The cross-shard best-so-far is forwarded to workers as a *frozen*
   threshold snapshot per attempt.  A frozen bound is merely looser than the
   live heap, so it can only under-prune — admissible by the same argument
-  as the in-process tandem heap.
+  as the in-process parent heap.
 
 Recovery loop: worker dies → connection failures are transients → the board
 quarantines the shard → the supervisor restarts the process with backoff →
-the inherited probe loop RPC-probes the worker → readmission resets the
-supervisor's breaker and backoff ladder (:meth:`probe_shard`), and coverage
-returns to 1.  The cluster is read-only: shard-local writes would desync
-the coordinator's global id maps, so mutations must go through a writable
-in-process index and a republished snapshot.
+the probe loop RPC-probes the worker → readmission resets the supervisor's
+breaker and backoff ladder (:meth:`RemoteShardClient.probe
+<repro.cluster.client.RemoteShardClient.probe>`), and coverage returns to 1.
+The cluster is read-only: shard-local writes would desync the coordinator's
+global id maps, so mutations must go through a writable in-process index and
+a republished snapshot.
 """
 
 from __future__ import annotations
 
-import time
-from pathlib import Path
-
-import numpy as np
-
 from repro.core.errors import ReadOnlyIndexError
-from repro.index.search import SearchStats, stats_from_payload
-from repro.index.sharded import _SHARD_READMITS, ShardedIndex, _Shard
+from repro.index.sharded import ShardedIndex
 from repro.index.shard_health import SupervisorPolicy
 
 from repro.cluster.client import RemoteShardClient
@@ -60,14 +59,16 @@ class ClusterIndex(ShardedIndex):
     :class:`~repro.index.sharded.ShardedIndex` bit for bit.
     """
 
-    def __init__(self, path, shards, *, supervisor: ShardSupervisor,
-                 clients: "list[RemoteShardClient]",
-                 probe_timeout_s: float = 2.0, **kwargs) -> None:
-        kwargs["writable"] = False
-        super().__init__(path, shards, **kwargs)
-        self._supervisor = supervisor
-        self._clients = clients
-        self._probe_timeout_s = float(probe_timeout_s)
+    def __init__(self, path, shards, *,
+                 policy: "SupervisorPolicy | None" = None,
+                 host: str = "127.0.0.1", **options) -> None:
+        super().__init__(path, shards, writable=False, **options)
+        self.supervisor = ShardSupervisor(
+            self.path, [shard.path for shard in shards], policy=policy,
+            host=host, mmap=self._mmap, verify=self._verify,
+            on_crash_loop=self._on_crash_loop)
+        for shard in shards:
+            shard.remote = RemoteShardClient(shard.index, self.supervisor)
 
     # ---------------------------------------------------------------- launch
 
@@ -76,53 +77,25 @@ class ClusterIndex(ShardedIndex):
                policy: "SupervisorPolicy | None" = None,
                host: str = "127.0.0.1", mmap: bool = True,
                verify: str = "lazy", gather_grace_s: float = 0.25,
-               probe_timeout_s: float = 2.0,
                start_timeout_s: float = 30.0) -> "ClusterIndex":
         """Spawn one supervised worker per shard and attach to the cluster.
 
         Blocks until every worker answers ``/readyz`` (or raises a typed
         error after ``start_timeout_s``).  ``policy`` tunes supervision
         (restart backoff, heartbeats, the crash-loop breaker); ``retry`` /
-        ``health`` tune the inherited answer-path fault handling.
+        ``health`` tune the answer-path fault handling.
         """
-        path = Path(path)
-        manifest = cls._read_manifest(path)
-        shards = []
-        for index, entry in enumerate(manifest["shards"]):
-            globals_map = cls._globals_from_manifest(entry["globals"])
-            shards.append(_Shard(index, path / entry["dir"], globals_map,
-                                 int(entry.get("num_surviving",
-                                               globals_map.shape[0]))))
-        index_name = "shard"
-        supervisor = ShardSupervisor(
-            path, [shard.path for shard in shards], policy=policy, host=host,
-            index_name=index_name, mmap=mmap, verify=verify)
-        clients = [
-            RemoteShardClient(shard.index,
-                              (lambda i=shard.index: supervisor.endpoint(i)),
-                              index_name=index_name)
-            for shard in shards
-        ]
-        cluster = cls(path, shards, supervisor=supervisor, clients=clients,
-                      probe_timeout_s=probe_timeout_s,
-                      series_length=int(manifest["series_length"]),
-                      next_global=int(manifest["next_global"]),
-                      index_type=manifest.get("index_type", "sofa"),
-                      degraded=degraded, retry=retry, health=health,
-                      verify=verify, mmap=mmap,
-                      gather_grace_s=gather_grace_s)
-        supervisor._on_crash_loop = cluster._on_crash_loop
-        supervisor.start()
+        cluster = cls._attach(path, policy=policy, host=host,
+                              degraded=degraded, retry=retry, health=health,
+                              verify=verify, mmap=mmap,
+                              gather_grace_s=gather_grace_s)
+        supervisor = cluster.supervisor.start()
         try:
             supervisor.wait_ready(start_timeout_s)
         except BaseException:
             supervisor.stop()
             raise
         return cluster
-
-    @property
-    def supervisor(self) -> ShardSupervisor:
-        return self._supervisor
 
     def _on_crash_loop(self, shard: int, error: BaseException) -> None:
         """Breaker tripped: quarantine now so queries skip the thrashing
@@ -131,94 +104,6 @@ class ClusterIndex(ShardedIndex):
             return
         self._board.record_persistent(shard, error)
         self._note_quarantine(shard)
-
-    # ------------------------------------------------------ remote attempts
-
-    def _slice_timeout(self, shard: _Shard,
-                       slice_deadline: "float | None") -> "float | None":
-        if slice_deadline is None:
-            return None
-        timeout_s = slice_deadline - time.monotonic()
-        if timeout_s <= 0:
-            raise TimeoutError(
-                f"shard {shard.index}: deadline slice expired")
-        return timeout_s
-
-    def _attempt_knn(self, shard: _Shard, slice_deadline: "float | None",
-                     query: np.ndarray, k: int, global_best,
-                     offered: "list[bool]"):
-        """One remote attempt: RPC the worker, translate ids, offer bounds.
-
-        The shared best-so-far is snapshotted into the request (``None``
-        while still infinite); the worker holds it frozen for the whole
-        search.  Results are offered back to the live heap so shards that
-        answer later, and retries, start from a tighter bound.
-        """
-        timeout_s = self._slice_timeout(shard, slice_deadline)
-        threshold = float(global_best.threshold)
-        payload = self._clients[shard.index].knn_once(
-            query, k, timeout_s,
-            threshold if np.isfinite(threshold) else None)
-        surviving = int(payload["surviving"])
-        local_ids = np.asarray(payload["ids"], dtype=np.int64)
-        values = np.asarray(payload["values"], dtype=np.float64).reshape(
-            local_ids.shape[0], self._series_length)
-        stats = stats_from_payload(payload["stats"])
-        global_ids = shard.globals_map[local_ids]
-        if local_ids.size:
-            offered[shard.index] = True
-            global_best.offer_block(
-                np.asarray(payload["squared"], dtype=np.float64), global_ids)
-        # Keep the coordinator's surviving-row bookkeeping exact even while
-        # the engine lives elsewhere: num_surviving sums these hints.
-        shard.num_surviving_hint = surviving
-        return (global_ids, values), stats, surviving
-
-    def _attempt_batch(self, shard: _Shard, slice_deadline: "float | None",
-                       matrix: np.ndarray, k: int):
-        timeout_s = self._slice_timeout(shard, slice_deadline)
-        payload = self._clients[shard.index].knn_batch_once(
-            matrix, k, timeout_s)
-        surviving = int(payload["surviving"])
-        globals_map = shard.globals_map
-        results = []
-        for entry in payload["results"]:
-            local_ids = np.asarray(entry["ids"], dtype=np.int64)
-            values = np.asarray(entry["values"], dtype=np.float64).reshape(
-                local_ids.shape[0], self._series_length)
-            results.append((globals_map[local_ids], values))
-        stats = [stats_from_payload(entry) for entry in payload["stats"]]
-        if len(results) != matrix.shape[0] or len(stats) != matrix.shape[0]:
-            from repro.core.errors import ShardError
-
-            raise ShardError(
-                f"shard {shard.index} worker answered {len(results)} results "
-                f"for {matrix.shape[0]} queries")
-        shard.num_surviving_hint = surviving
-        return results, stats, surviving
-
-    # --------------------------------------------------------------- health
-
-    def probe_shard(self, index: int) -> bool:
-        """RPC-probe the shard's worker; readmit and reset backoff on pass.
-
-        The worker answers ``shard_probe`` with a real shard-local 1-NN, so
-        a readmission means the restarted process actually serves queries —
-        the same standard the in-process probe applies.  Success also resets
-        the supervisor's crash-loop breaker and restart ladder
-        (:meth:`~repro.cluster.supervisor.ShardSupervisor.note_recovered`):
-        the shard has proven itself healthy, so the next failure starts a
-        fresh escalation instead of inheriting stale history.
-        """
-        try:
-            self._clients[index].probe(timeout_s=self._probe_timeout_s)
-        except Exception as error:  # noqa: BLE001 — probe failed, stay out
-            self._board.record_transient(index, error)
-            return False
-        self._board.readmit(index)
-        _SHARD_READMITS.labels(shard=str(index)).inc()
-        self._supervisor.note_recovered(index)
-        return True
 
     # ------------------------------------------------------------ lifecycle
 
@@ -230,4 +115,4 @@ class ClusterIndex(ShardedIndex):
     def close(self) -> None:
         """Stop the probe loop and scatter pool, then the worker fleet."""
         super().close()
-        self._supervisor.stop()
+        self.supervisor.stop()

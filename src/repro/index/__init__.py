@@ -52,10 +52,10 @@ from repro.index.persistence import (
     save_tree,
 )
 from repro.index.search import (
+    BestSoFar,
     ExactSearcher,
     SearchResult,
     SearchStats,
-    SharedKnnHeap,
 )
 from repro.index.shard_health import (
     HEALTHY,
@@ -79,6 +79,7 @@ from repro.index.wal import WalRecord, WriteAheadLog, read_records
 
 __all__ = [
     "BatchSearcher",
+    "BestSoFar",
     "BuildTimings",
     "DEGRADED_MODES",
     "DeltaView",
@@ -100,7 +101,6 @@ __all__ = [
     "SearchStats",
     "ShardHealthBoard",
     "ShardedIndex",
-    "SharedKnnHeap",
     "SofaIndex",
     "SummaryBuffer",
     "TreeIndex",

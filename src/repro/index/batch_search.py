@@ -62,10 +62,11 @@ import time
 import numpy as np
 
 from repro.core.distance import pairwise_squared_euclidean
-from repro.core.errors import SearchError, ValidationError
+from repro.core.errors import SearchError
 from repro.core.normalization import znormalize_batch
 from repro.core.simd import batch_lower_bound_multi, batch_lower_bound_pairs
 from repro.index.search import (
+    FLAT_REFINEMENT_THRESHOLD,
     ExactSearcher,
     SearchResult,
     SearchStats,
@@ -73,6 +74,7 @@ from repro.index.search import (
     finalize_result,
     resolve_deadline,
     validated_count,
+    validated_queries,
 )
 from repro.index.tree import TreeIndex
 from repro.parallel.pool import WorkerPool, chunk_indices, resolve_num_workers
@@ -83,6 +85,10 @@ from repro.parallel.pool import WorkerPool, chunk_indices, resolve_num_workers
 #: transparently split into query shards that respect this budget instead of
 #: allocating O(Q x N) at once.
 _MAX_SHARD_CELLS = 4_000_000
+
+#: Per-query candidate nomination budget per round on the flat path (matches
+#: the sequential flat search's block size).
+_FLAT_BLOCK_SIZE = 128
 
 
 def _round_window(base_window: int, num_queries: int, num_active: int,
@@ -206,21 +212,8 @@ class BatchSearcher:
     flat_refinement_threshold:
         Same meaning as in :class:`~repro.index.search.ExactSearcher`: below
         this average leaf size the engine filters-and-refines over the flat
-        per-series directory instead of walking leaves.  The batched default
-        (4.0) is higher than the sequential one (1.5) on purpose: the flat
-        path's fixed cost — the full ``query x series`` bound matrix — is
-        amortized over the whole batch, so the crossover against the per-leaf
-        machinery sits at a larger average leaf size.  Both paths return
-        identical exact answers.
-    group_target:
-        Target number of series each query contributes to a shared refinement
-        round on the tree path (defaults to ``max(leaf_size, 64)``, matching
-        the sequential searcher's leaf grouping).  Larger values mean fewer,
-        bigger rounds: less per-round overhead, but BSF thresholds refresh
-        less often.
-    flat_block_size:
-        Per-query candidate nomination budget per round on the flat path
-        (matches the sequential flat search's block size).
+        per-series directory instead of walking leaves; both engines share
+        one default.  Both paths return identical exact answers.
     delta_source:
         Optional zero-argument callable returning the current
         :class:`~repro.index.dynamic.DeltaView` of a dynamic index (or
@@ -237,22 +230,15 @@ class BatchSearcher:
     """
 
     def __init__(self, index: TreeIndex, normalize_queries: bool = True,
-                 flat_refinement_threshold: float = 4.0,
-                 group_target: int | None = None, flat_block_size: int = 128,
+                 flat_refinement_threshold: float = FLAT_REFINEMENT_THRESHOLD,
                  delta_source=None,
                  intra_searcher: "ExactSearcher | None" = None) -> None:
         if not index.is_built:
             raise SearchError("the index must be built before searching")
-        if group_target is not None and group_target < 1:
-            raise SearchError(f"group_target must be >= 1, got {group_target}")
-        if flat_block_size < 1:
-            raise SearchError(f"flat_block_size must be >= 1, got {flat_block_size}")
         self.index = index
         self.normalize_queries = normalize_queries
         self._delta_source = delta_source
         self.flat_refinement_threshold = flat_refinement_threshold
-        self.group_target = group_target if group_target is not None else max(index.leaf_size, 64)
-        self.flat_block_size = flat_block_size
         # Per-query engine for the intra-query fallback (used when a batch
         # is smaller than the worker pool); lazily built unless shared in.
         self._intra_searcher = intra_searcher
@@ -316,17 +302,7 @@ class BatchSearcher:
                 f"k={k} exceeds the number of "
                 f"{'indexed' if delta is None else 'surviving'} series ({available})"
             )
-        try:
-            queries = np.atleast_2d(np.asarray(queries, dtype=np.float64))
-        except (TypeError, ValueError) as error:
-            raise ValidationError(f"queries are not numeric: {error}") from None
-        if queries.ndim != 2 or queries.shape[1] != self.index.dataset.series_length:
-            raise ValidationError(
-                f"queries must be rows of length {self.index.dataset.series_length}, "
-                f"got shape {queries.shape}"
-            )
-        if not np.isfinite(queries).all():
-            raise ValidationError("queries contain NaN or infinite values")
+        queries = validated_queries(queries, self.index.dataset.series_length)
         num_queries = queries.shape[0]
         if num_queries == 0:
             return []
@@ -490,7 +466,10 @@ class BatchSearcher:
         # the union of nominated (query, leaf) pairs is evaluated with one
         # pair kernel call and one GEMM.
         average_leaf = max(1.0, float(leaf_sizes.mean()) if leaf_sizes.size else 1.0)
-        base_window = max(4, int(np.ceil(self.group_target / average_leaf)))
+        # Each query contributes about as many series to a shared round as
+        # the sequential searcher's leaf grouping puts into one group.
+        group_target = max(index.leaf_size, 64)
+        base_window = max(4, int(np.ceil(group_target / average_leaf)))
         pointers = np.ones(num_queries, dtype=np.int64)  # position 0 was the seed
         active = np.ones(num_queries, dtype=bool)
         while True:
@@ -589,7 +568,7 @@ class BatchSearcher:
                 return
             first_round = False
             round_start = time.perf_counter()
-            window = _round_window(self.flat_block_size, num_queries,
+            window = _round_window(_FLAT_BLOCK_SIZE, num_queries,
                                    active_queries.size, num_entries)
             pair_query, pair_column, cuts = _nominate_window(
                 orders, sorted_bounds, pointers, active_queries, num_entries,

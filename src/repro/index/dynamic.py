@@ -69,9 +69,8 @@ from repro.core.errors import IndexError_, InvalidParameterError, ValidationErro
 from repro.core.normalization import znormalize_batch
 from repro.core.series import Dataset, GrowableArray
 from repro.index.batch_search import BatchSearcher
-from repro.index.messi import MessiIndex
-from repro.index.search import ExactSearcher, SearchResult
-from repro.index.sofa import SofaIndex
+from repro.index.facade import TreeFacade
+from repro.index.search import BestSoFar, ExactSearcher, SearchResult
 from repro.index.tree import TreeIndex
 from repro.index.wal import OP_COMPACT, OP_DELETE, OP_INSERT, WriteAheadLog
 from repro.index.wal import read_records as _read_wal_records
@@ -88,6 +87,20 @@ _COMPACTION_SECONDS = _REGISTRY.histogram(
     "survivors), rebuild (the tree build), swap (generation swap + WAL "
     "rotation).",
     labelnames=("phase",))
+
+
+def _gather_rows(base_values: np.ndarray, delta_values: np.ndarray,
+                 num_base: int, rows) -> np.ndarray:
+    """Stack the series values of global ``rows`` (base or delta)."""
+    rows = np.asarray(rows, dtype=np.int64)
+    in_delta = rows >= num_base
+    if not in_delta.any():
+        return base_values[rows]
+    gathered = np.empty((rows.shape[0], base_values.shape[1]),
+                        dtype=np.float64)
+    gathered[~in_delta] = base_values[rows[~in_delta]]
+    gathered[in_delta] = delta_values[rows[in_delta] - num_base]
+    return gathered
 
 
 @dataclass(frozen=True)
@@ -120,15 +133,7 @@ class DeltaView:
 
     def gather(self, base_values: np.ndarray, rows: np.ndarray) -> np.ndarray:
         """Stack the series values of global ``rows`` (base or delta)."""
-        rows = np.asarray(rows, dtype=np.int64)
-        in_delta = rows >= self.num_base
-        if not in_delta.any():
-            return base_values[rows]
-        gathered = np.empty((rows.shape[0], base_values.shape[1]),
-                            dtype=np.float64)
-        gathered[~in_delta] = base_values[rows[~in_delta]]
-        gathered[in_delta] = self.values[rows[in_delta] - self.num_base]
-        return gathered
+        return _gather_rows(base_values, self.values, self.num_base, rows)
 
 
 class _DynamicState:
@@ -230,10 +235,8 @@ def _resolve_tree(index) -> tuple[TreeIndex, str]:
     """The underlying tree and persistence type name of a supported index."""
     if isinstance(index, TreeIndex):
         return index, "tree"
-    if isinstance(index, SofaIndex):
-        return index.tree, "sofa"
-    if isinstance(index, MessiIndex):
-        return index.tree, "messi"
+    if isinstance(index, TreeFacade):
+        return index.tree, index.index_type
     raise IndexError_(
         f"DynamicIndex cannot wrap an object of type {type(index).__name__}; "
         "expected SofaIndex, MessiIndex or TreeIndex"
@@ -497,7 +500,7 @@ class DynamicIndex:
     def knn(self, query: np.ndarray, k: int = 1,
             num_workers: "int | None" = None,
             timeout_s: "float | None" = None,
-            shared_best: "object | None" = None,
+            shared_best: "BestSoFar | None" = None,
             trace=None) -> SearchResult:
         """Exact k-NN over *tree ∪ delta − tombstones*.
 
@@ -507,8 +510,8 @@ class DynamicIndex:
         as one more work item — against a shared best-so-far; answers are
         bit-identical for every worker count, mid-ingest included.
         ``timeout_s`` bounds the search: on expiry the best-so-far is
-        finalized with ``stats.timed_out=True``.  ``shared_best`` couples the
-        search to an external (cross-shard) best-so-far; ``trace`` records
+        finalized with ``stats.timed_out=True``.  ``shared_best`` runs the
+        search on a caller-built (cross-shard) best-so-far; ``trace`` records
         phase spans (including the delta-fusion phase) without changing the
         answer; see :meth:`~repro.index.search.ExactSearcher.knn`.
         """
@@ -526,18 +529,10 @@ class DynamicIndex:
         callers racing a compaction must re-validate their row ids.
         """
         state = self._state
-        rows = np.asarray(rows, dtype=np.int64)
-        values = np.asarray(state.tree.dataset.values)
-        if rows.size == 0:
-            return np.empty((0, values.shape[1]), dtype=np.float64)
-        in_delta = rows >= state.num_base
-        if not in_delta.any():
-            return np.asarray(values[rows], dtype=np.float64)
-        gathered = np.empty((rows.shape[0], values.shape[1]), dtype=np.float64)
-        gathered[~in_delta] = values[rows[~in_delta]]
-        gathered[in_delta] = state.delta_values.view[rows[in_delta]
-                                                     - state.num_base]
-        return gathered
+        return np.asarray(
+            _gather_rows(np.asarray(state.tree.dataset.values),
+                         state.delta_values.view, state.num_base, rows),
+            dtype=np.float64)
 
     def nearest_neighbor(self, query: np.ndarray,
                          num_workers: "int | None" = None,

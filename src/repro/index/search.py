@@ -25,7 +25,7 @@ intra-query parallelism: after the approximate descent seeds the BSF, the
 lower-bound-ordered surviving-leaf queue is drained by ``n`` threads — each
 runs the same batched lower-bound + blocked ED refinement kernels (NumPy
 releases the GIL inside them) against one shared, thread-safe k-NN heap
-(:class:`SharedKnnHeap`) whose threshold is re-read between blocks, so one
+(:class:`BestSoFar`) whose threshold is re-read between blocks, so one
 worker's tightened best-so-far prunes every other worker's remaining work.
 Because the bounded heap retains the k smallest offers under the total order
 (distance², row) regardless of offer order, and this engine refines a given
@@ -61,7 +61,7 @@ import numbers
 import operator
 import threading
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -185,6 +185,28 @@ def validated_query(query: np.ndarray, expected_length: int) -> np.ndarray:
     return query
 
 
+def validated_queries(queries: np.ndarray, expected_length: int) -> np.ndarray:
+    """Convert and validate a query batch (one series per row).
+
+    The batched counterpart of :func:`validated_query`, shared by every
+    ``knn_batch`` entry point: one 1-D series is a batch of one, an empty
+    ``(0, l)`` batch is valid, and malformed input raises the same typed
+    :class:`~repro.core.errors.ValidationError`.
+    """
+    try:
+        queries = np.atleast_2d(np.asarray(queries, dtype=np.float64))
+    except (TypeError, ValueError) as error:
+        raise ValidationError(f"queries are not numeric: {error}") from None
+    if queries.ndim != 2 or queries.shape[1] != expected_length:
+        raise ValidationError(
+            f"queries must be rows of length {expected_length}, "
+            f"got shape {queries.shape}"
+        )
+    if not np.isfinite(queries).all():
+        raise ValidationError("queries contain NaN or infinite values")
+    return queries
+
+
 def validated_count(value, name: str = "k") -> int:
     """Validate an integer count parameter (``k``, refinement budgets) at the
     API boundary.
@@ -233,6 +255,35 @@ def deadline_expired(deadline: "float | None") -> bool:
     return deadline is not None and time.monotonic() >= deadline
 
 
+def canonical_squared(query: np.ndarray, values: np.ndarray) -> np.ndarray:
+    """Canonical squared distances of candidate ``values`` to ``query``.
+
+    One elementwise pass per row: a row's result is independent of which
+    other rows sit in the matrix, which is what lets a shard, the sharded
+    gather and an unsharded index report bit-identical distances.
+    """
+    difference = values - query
+    return np.einsum("ij,ij->i", difference, difference)
+
+
+def ranked_result(query: np.ndarray, rows: np.ndarray, values: np.ndarray,
+                  stats: SearchStats, k: "int | None" = None
+                  ) -> SearchResult:
+    """The ``k`` best of candidate ``rows`` (ascending) and their ``values``.
+
+    The one canonical finalization: distances are recomputed with
+    :func:`canonical_squared` and answers sorted by (distance, row), the
+    same tie order as the refinement heap.  :func:`finalize_result` calls it
+    on one index's winners, the sharded gather on the union of the shards'
+    candidates — so selecting the top ``k`` of the union *is* the unsharded
+    finalization.
+    """
+    squared = canonical_squared(query, values)
+    order = np.lexsort((rows, squared))[:k]
+    return SearchResult(indices=rows[order], distances=np.sqrt(squared[order]),
+                        stats=stats)
+
+
 def finalize_result(query: np.ndarray, values: np.ndarray, rows: np.ndarray,
                     stats: SearchStats, delta=None) -> SearchResult:
     """Package the winning rows of a search into a :class:`SearchResult`.
@@ -241,8 +292,7 @@ def finalize_result(query: np.ndarray, values: np.ndarray, rows: np.ndarray,
     the winning rows in ascending-row order.  Refinement-time distance values
     can drift by an ulp depending on how candidates were blocked into BLAS
     kernel calls, so recomputing on a canonical row order makes per-query and
-    batched searches return bit-identical results.  Answers are sorted by
-    (distance, row), the same tie order as the refinement heap.
+    batched searches return bit-identical results.
 
     ``delta`` (a :class:`~repro.index.dynamic.DeltaView`) resolves rows at or
     beyond the base collection to buffered delta series; the row-wise
@@ -251,204 +301,129 @@ def finalize_result(query: np.ndarray, values: np.ndarray, rows: np.ndarray,
     """
     rows = np.sort(np.asarray(rows, dtype=np.int64))
     winners = values[rows] if delta is None else delta.gather(values, rows)
-    difference = winners - query
-    squared = np.einsum("ij,ij->i", difference, difference)
-    order = np.lexsort((rows, squared))
-    return SearchResult(indices=rows[order], distances=np.sqrt(squared[order]),
-                        stats=stats)
+    return ranked_result(query, rows, winners, stats)
 
 
-class _KnnHeap:
-    """Fixed-capacity max-heap of the k best (distance², index) pairs.
+class BestSoFar:
+    """The best-so-far of one search: a bounded, thread-safe k-NN heap.
 
-    Entries are kept under the total order (distance², index): on tied
-    distances the smaller dataset row wins.  A total order makes the retained
+    Keeps the k smallest offers under the total order (distance², row): on
+    tied distances the smaller row wins.  A total order makes the retained
     set independent of the order candidates were offered in, which is what
     lets the batched engine (whose refinement schedule differs) and the
     intra-query parallel engine (whose offer interleaving depends on thread
     timing) select the same k answers.
+
+    Offers serialize on a mutex; the pruning threshold is published as a
+    plain attribute that workers read lock-free (an atomic attribute load
+    under the GIL; a stale value is merely a looser bound, and the threshold
+    only ever tightens, so pruning against it stays conservative) and re-read
+    between refinement blocks — which is how one worker's tightened
+    best-so-far prunes every other worker's remaining work.
+
+    ``floor`` is a frozen external bound that caps only the published
+    threshold: searches prune against it, but offers are still retained
+    against the heap's own k-th best (refinement-time distances drift by an
+    ulp from the canonical ones a floor is computed from, so a candidate
+    *at* the floor — a cross-shard tie — must not be dropped here).  A shard
+    worker searches under the cluster coordinator's cross-shard threshold
+    this way — admissible because the live bound only tightens afterwards,
+    so the forwarded value is merely looser and no global winner is lost.
+
+    ``parent`` couples this heap to a live cross-shard best-so-far: the
+    threshold is the tighter of the two, and every offered block is forwarded
+    to the parent with its rows translated by ``row_map`` (a callable from
+    this heap's rows to the parent's), so the parent's tie order is the
+    *global* (distance², row) order.  Pruning against the parent is
+    admissible because a true global top-k candidate has ``bound <= distance
+    <= global k-th <= published threshold`` and the tie-tolerant
+    ``_admissible`` filter keeps candidates *at* the threshold.  ``offered``
+    records that this heap forwarded anything at all — what the sharded
+    gather needs to tell whether a failed shard tightened the shared bound.
     """
 
-    def __init__(self, k: int) -> None:
+    def __init__(self, k: int, floor: float = np.inf,
+                 parent: "BestSoFar | None" = None, row_map=None) -> None:
         self.k = k
-        self._heap: list[tuple[float, int]] = []  # (-distance², -index)
+        self.offered = False
+        self._heap: list[tuple[float, int]] = []  # (-distance², -row)
+        self._lock = threading.Lock()
+        self._floor = float(floor)
+        self._kth = np.inf  # this heap's own k-th best: what offers must beat
+        self._threshold = self._floor  # published: min(floor, k-th best)
+        self._parent = parent
+        self._row_map = row_map
 
-    def offer(self, squared_distance: float, index: int) -> None:
-        entry = (-squared_distance, -index)
-        if len(self._heap) < self.k:
-            heapq.heappush(self._heap, entry)
-        elif entry > self._heap[0]:
-            heapq.heapreplace(self._heap, entry)
+    @property
+    def threshold(self) -> float:
+        """The k-th best squared distance, capped by the floor and the parent."""
+        if self._parent is None:
+            return self._threshold
+        return min(self._threshold, self._parent.threshold)
 
     def offer_block(self, squared: np.ndarray, rows: np.ndarray) -> None:
         """Offer a whole candidate block at once.
 
-        The vectorized comparison drops candidates that cannot displace the
-        current k-th best before the per-row Python loop runs; a candidate at
-        exactly the threshold still passes (it can win the smaller-row
-        tie-break under the total order), so the retained set is unchanged —
-        offers above the threshold were no-ops anyway.
+        The vectorized comparison against this heap's own k-th best drops
+        candidates that cannot displace it before the per-row loop runs; a
+        candidate at exactly that value still passes (it can win the
+        smaller-row tie-break under the total order), so the retained set is
+        unchanged — offers above it were no-ops anyway.  Survivors are
+        re-checked under the lock against the heap's (possibly tighter) top.
         """
-        surviving = squared <= self.threshold
-        for distance, row in zip(squared[surviving], rows[surviving]):
-            self.offer(float(distance), int(row))
-
-    @property
-    def threshold(self) -> float:
-        """Current BSF: the k-th best squared distance (inf until k answers exist)."""
-        if len(self._heap) < self.k:
-            return np.inf
-        return -self._heap[0][0]
-
-    def sorted_items(self) -> list[tuple[float, int]]:
-        return sorted((-negative_squared, -negative_index)
-                      for negative_squared, negative_index in self._heap)
-
-
-class SharedKnnHeap:
-    """Thread-safe bounded k-NN heap shared by one query's workers.
-
-    Wraps :class:`_KnnHeap` with a mutex and publishes the current threshold
-    as a plain attribute: workers read it lock-free (an atomic attribute
-    load under the GIL; a stale value is merely a looser bound, and the
-    threshold only ever tightens, so pruning against it stays conservative)
-    and re-read it between refinement blocks — which is how one worker's
-    tightened best-so-far prunes every other worker's remaining work.
-    Because the bounded heap retains the k smallest offers under the total
-    order (distance², row) no matter the offer order, the final contents are
-    independent of thread scheduling: the property the
-    bit-identical-across-worker-counts contract rests on.
-    """
-
-    def __init__(self, k: int) -> None:
-        self._heap = _KnnHeap(k)
-        self._lock = threading.Lock()
-        self._threshold = np.inf
-
-    @property
-    def threshold(self) -> float:
-        return self._threshold
-
-    def offer_block(self, squared: np.ndarray, rows: np.ndarray) -> None:
-        # Cheap lock-free rejection against the published threshold; the
-        # survivors are re-filtered under the lock by the inner heap's own
-        # (possibly tighter) threshold.
-        surviving = squared <= self._threshold
+        self.offered = True
+        if self._parent is not None:
+            self._parent.offer_block(
+                squared, rows if self._row_map is None else self._row_map(rows))
+        surviving = squared <= self._kth
         if not surviving.any():
             return
+        heap, k = self._heap, self.k
         with self._lock:
-            self._heap.offer_block(squared[surviving], rows[surviving])
-            self._threshold = self._heap.threshold
+            for distance, row in zip(squared[surviving].tolist(),
+                                     rows[surviving].tolist()):
+                entry = (-distance, -row)
+                if len(heap) < k:
+                    heapq.heappush(heap, entry)
+                elif entry > heap[0]:
+                    heapq.heapreplace(heap, entry)
+            if len(heap) == k:
+                self._kth = -heap[0][0]
+                self._threshold = min(self._floor, self._kth)
 
     def sorted_items(self) -> list[tuple[float, int]]:
+        """The retained (distance², row) pairs, ascending."""
         with self._lock:
-            return self._heap.sorted_items()
-
-
-class FixedThreshold:
-    """A frozen external best-so-far: prune against it, never feed it back.
-
-    The process-per-shard cluster (:mod:`repro.cluster`) forwards the
-    coordinator's shared threshold *by value* in each shard RPC; the worker
-    passes this object as ``shared_best`` so its search prunes against the
-    cross-shard bound exactly like an in-process shard would.  A frozen
-    bound is admissible for the same reason a stale
-    :class:`SharedKnnHeap.threshold` read is: the live threshold only ever
-    tightens, so the forwarded value is merely looser — candidates are over-
-    retained, never dropped, and the coordinator's canonical merge settles
-    the final order.  Offers are discarded (the worker's own heap already
-    tracks them); the coordinator offers the returned candidates to its live
-    heap after the RPC returns.
-    """
-
-    __slots__ = ("threshold",)
-
-    def __init__(self, threshold: float) -> None:
-        self.threshold = float(threshold)
-
-    def offer_block(self, squared: np.ndarray, rows: np.ndarray) -> None:
-        pass
+            return sorted((-negative_squared, -negative_row)
+                          for negative_squared, negative_row in self._heap)
 
 
 def stats_to_payload(stats: SearchStats) -> dict:
     """JSON-ready dict of one :class:`SearchStats` (the shard RPC wire form).
 
-    Round-trips exactly through :func:`stats_from_payload`: counters are
-    ints, timings floats (JSON preserves float64 bit patterns via shortest
-    round-trip repr), ``leaf_times`` the full per-work-item list — so merged
-    cluster stats equal the in-process scatter's merged stats.
+    Derived from the dataclass fields, so a field added later travels
+    without further edits.  Round-trips exactly through
+    :func:`stats_from_payload`: counters are ints, timings floats (JSON
+    preserves float64 bit patterns via shortest round-trip repr),
+    ``leaf_times`` the full per-work-item list — so merged cluster stats
+    equal the in-process scatter's merged stats.
     """
-    return {
-        "num_series": int(stats.num_series),
-        "num_workers": int(stats.num_workers),
-        "leaves_visited": int(stats.leaves_visited),
-        "leaves_pruned_in_queue": int(stats.leaves_pruned_in_queue),
-        "nodes_pruned": int(stats.nodes_pruned),
-        "series_lower_bounds": int(stats.series_lower_bounds),
-        "exact_distances": int(stats.exact_distances),
-        "approximate_time": float(stats.approximate_time),
-        "traversal_time": float(stats.traversal_time),
-        "leaf_times": [float(value) for value in stats.leaf_times],
-        "timed_out": bool(stats.timed_out),
-        "shards_total": int(stats.shards_total),
-        "shards_answered": int(stats.shards_answered),
-        "partial": bool(stats.partial),
-        "wall_time_s": float(stats.wall_time_s),
-    }
+    return {spec.name: _wire_value(spec, getattr(stats, spec.name))
+            for spec in fields(SearchStats)}
 
 
 def stats_from_payload(payload: dict) -> SearchStats:
     """Rebuild a :class:`SearchStats` from :func:`stats_to_payload` output."""
-    return SearchStats(
-        num_series=int(payload.get("num_series", 0)),
-        num_workers=int(payload.get("num_workers", 1)),
-        leaves_visited=int(payload.get("leaves_visited", 0)),
-        leaves_pruned_in_queue=int(payload.get("leaves_pruned_in_queue", 0)),
-        nodes_pruned=int(payload.get("nodes_pruned", 0)),
-        series_lower_bounds=int(payload.get("series_lower_bounds", 0)),
-        exact_distances=int(payload.get("exact_distances", 0)),
-        approximate_time=float(payload.get("approximate_time", 0.0)),
-        traversal_time=float(payload.get("traversal_time", 0.0)),
-        leaf_times=[float(value) for value in payload.get("leaf_times", [])],
-        timed_out=bool(payload.get("timed_out", False)),
-        shards_total=int(payload.get("shards_total", 0)),
-        shards_answered=int(payload.get("shards_answered", 0)),
-        partial=bool(payload.get("partial", False)),
-        wall_time_s=float(payload.get("wall_time_s", 0.0)),
-    )
+    return SearchStats(**{spec.name: _wire_value(spec, payload[spec.name])
+                          for spec in fields(SearchStats)
+                          if spec.name in payload})
 
 
-class _TandemHeap:
-    """A query-local heap coupled to an external (cross-shard) best-so-far.
-
-    The sharded scatter-gather engine hands every shard's search the same
-    global best-so-far through this wrapper: the effective pruning threshold
-    is the *tighter* of the local k-th best and the externally published
-    bound, and every refined block is offered to both sides.  Pruning a
-    shard's candidates against the global threshold is admissible because a
-    true global top-k candidate has ``bound <= distance <= global k-th <=
-    published threshold`` and the tie-tolerant ``_admissible`` filter keeps
-    candidates *at* the threshold — so the union of the shards' retained
-    sets always contains the global winners, no matter how the shards'
-    refinement interleaves.  ``external`` only needs ``threshold`` and
-    ``offer_block(squared, rows)`` (the sharded engine passes an adapter
-    that translates shard-local rows to global ids before offering).
-    """
-
-    def __init__(self, inner, external) -> None:
-        self._inner = inner
-        self._external = external
-
-    @property
-    def threshold(self) -> float:
-        return min(self._inner.threshold, self._external.threshold)
-
-    def offer_block(self, squared: np.ndarray, rows: np.ndarray) -> None:
-        self._inner.offer_block(squared, rows)
-        self._external.offer_block(squared, rows)
-
-    def sorted_items(self) -> list[tuple[float, int]]:
-        return self._inner.sorted_items()
+def _wire_value(spec, value):
+    """Coerce one stats field to its declared plain-Python type."""
+    if isinstance(value, (list, tuple)):
+        return [float(item) for item in value]
+    return type(spec.default)(value)
 
 
 #: Series length at or above which exact refinement switches to the blocked
@@ -459,6 +434,11 @@ class _TandemHeap:
 #: worker count refines a given row with the same kernel and sees the same
 #: value (part of the bit-identity contract).
 EARLY_ABANDON_MIN_LENGTH = 1024
+
+#: Average leaf size below which both engines filter-and-refine over the flat
+#: per-series directory instead of walking leaves (see
+#: :class:`ExactSearcher`'s ``flat_refinement_threshold``).
+FLAT_REFINEMENT_THRESHOLD = 4.0
 
 
 class ExactSearcher:
@@ -477,10 +457,9 @@ class ExactSearcher:
         some top bit — and provides no grouping at all; the searcher then
         filters and refines over the flat per-series directory instead of
         walking leaves one by one.  Both paths compute the same lower bounds
-        and return identical exact answers.  When left at ``None``, per-query
-        search uses the crossover 1.5 and :meth:`knn_batch` uses the batched
-        engine's higher default (its flat path's fixed cost amortizes over
-        the batch); an explicit value is honored by both.
+        and return identical exact answers.  The default
+        (:data:`FLAT_REFINEMENT_THRESHOLD`) and an explicit value alike are
+        shared with the batched engine behind :meth:`knn_batch`.
     delta_source:
         Optional zero-argument callable returning the current
         :class:`~repro.index.dynamic.DeltaView` of a dynamic index (or
@@ -495,11 +474,8 @@ class ExactSearcher:
         ``None`` keeps the default :data:`EARLY_ABANDON_MIN_LENGTH`.
     """
 
-    #: Default flat-refinement crossover of the per-query engine.
-    DEFAULT_FLAT_REFINEMENT_THRESHOLD = 1.5
-
     def __init__(self, index: TreeIndex, normalize_queries: bool = True,
-                 flat_refinement_threshold: float | None = None,
+                 flat_refinement_threshold: float = FLAT_REFINEMENT_THRESHOLD,
                  delta_source=None,
                  early_abandon_length: int | None = None) -> None:
         if not index.is_built:
@@ -507,10 +483,7 @@ class ExactSearcher:
         self.index = index
         self.normalize_queries = normalize_queries
         self._delta_source = delta_source
-        self._requested_flat_threshold = flat_refinement_threshold
-        self.flat_refinement_threshold = (
-            self.DEFAULT_FLAT_REFINEMENT_THRESHOLD
-            if flat_refinement_threshold is None else flat_refinement_threshold)
+        self.flat_refinement_threshold = flat_refinement_threshold
         self.early_abandon_length = (EARLY_ABANDON_MIN_LENGTH
                                      if early_abandon_length is None
                                      else early_abandon_length)
@@ -560,7 +533,7 @@ class ExactSearcher:
     def knn(self, query: np.ndarray, k: int = 1,
             num_workers: "int | None" = None,
             timeout_s: "float | None" = None,
-            shared_best: "object | None" = None,
+            shared_best: "BestSoFar | None" = None,
             trace=None) -> SearchResult:
         """Exact k nearest neighbours of ``query`` under the (z-)ED.
 
@@ -574,10 +547,12 @@ class ExactSearcher:
         ``stats.timed_out=True`` (every reported distance is exact; the set
         may miss a closer unrefined series) instead of running to completion.
 
-        ``shared_best`` couples this search to an external best-so-far (see
-        :class:`_TandemHeap`): the sharded engine passes each shard the same
+        ``shared_best`` is a caller-built :class:`BestSoFar` (capacity at
+        least ``k``) to run this search on instead of a fresh one: the
+        sharded engine hands each shard a heap whose parent is the same
         global bound, so one shard's tightened threshold prunes every other
-        shard's remaining work — PR 5's broadcast, lifted across shards.
+        shard's remaining work — PR 5's broadcast, lifted across shards —
+        and a cluster worker one floored at the coordinator's threshold.
 
         ``trace`` (a :class:`~repro.obs.trace.Trace`) records the query's
         phase spans — summarize, approximate, delta, traversal, refinement,
@@ -598,7 +573,7 @@ class ExactSearcher:
 
     def _knn_under_delta(self, query: np.ndarray, k: int, num_workers: int,
                          delta, deadline: "float | None" = None,
-                         shared_best: "object | None" = None,
+                         shared_best: "BestSoFar | None" = None,
                          trace=None) -> SearchResult:
         """The engine behind :meth:`knn`, with the dynamic overlay pinned.
 
@@ -622,9 +597,7 @@ class ExactSearcher:
         query_word = self._bins.symbols(query_summary)
 
         stats = SearchStats(num_series=available, num_workers=num_workers)
-        heap = SharedKnnHeap(k) if num_workers > 1 else _KnnHeap(k)
-        if shared_best is not None:
-            heap = _TandemHeap(heap, shared_best)
+        heap = shared_best if shared_best is not None else BestSoFar(k)
         if trace is not None:
             # Validation, z-normalization and the SFA transform of the query.
             trace.add_phase("summarize", time.perf_counter() - setup_start)
@@ -636,27 +609,32 @@ class ExactSearcher:
             # machinery and filter-and-refine over the flat series directory.
             flat_start = time.perf_counter() if trace is not None else 0.0
             if num_workers > 1:
-                self._flat_search_parallel(query, query_summary, heap, stats,
-                                           delta, num_workers,
-                                           deadline=deadline)
+                delta_time = self._flat_search_parallel(
+                    query, query_summary, heap, stats, delta, num_workers,
+                    deadline=deadline)
             else:
-                self._flat_search(query, query_summary, heap, stats,
-                                  delta=delta, deadline=deadline)
+                delta_time = self._flat_search(query, query_summary, heap,
+                                               stats, delta=delta,
+                                               deadline=deadline)
             if trace is not None:
                 flat_wall = time.perf_counter() - flat_start
                 # The flat path computes all per-series bounds in one call
-                # (recorded as traversal) and refines the survivors; split
-                # the phase accordingly so the taxonomy matches the tree path.
+                # (recorded as traversal; the pending delta's share is its
+                # own phase) and refines the survivors; split the phase
+                # accordingly so the taxonomy matches the tree path.
+                directory_time = min(stats.traversal_time, flat_wall)
                 trace.add_phase(
-                    "traversal", min(stats.traversal_time, flat_wall),
+                    "traversal", directory_time - delta_time,
                     series_lower_bounds=stats.series_lower_bounds)
+                if delta is not None:
+                    trace.add_phase("delta", delta_time,
+                                    delta_rows=int(delta.rows.size))
                 trace.add_phase(
-                    "refinement",
-                    max(flat_wall - min(stats.traversal_time, flat_wall), 0.0),
+                    "refinement", flat_wall - directory_time,
                     exact_distances=stats.exact_distances)
         else:
             start = time.perf_counter()
-            seed_leaf = self._approximate_descent(query_word, query_summary)
+            seed_leaf = self.index.approximate_leaf(query_word, query_summary)
             if seed_leaf is not None:
                 # The seed refinement ignores the deadline: without at least
                 # one refined leaf there is no best-so-far to finalize.
@@ -774,7 +752,7 @@ class ExactSearcher:
         query_summary = summarization.transform(query)
 
         stats = SearchStats(num_series=self.index.num_series)
-        heap = _KnnHeap(k)
+        heap = BestSoFar(k)
 
         start = time.perf_counter()
         bounds, rows = self.index.all_series_lower_bounds(query_summary)
@@ -812,69 +790,58 @@ class ExactSearcher:
         from repro.index.batch_search import BatchSearcher
 
         if self._batch_searcher is None:
-            # Unless the caller pinned a crossover explicitly, the batched
-            # engine keeps its own (higher) flat-refinement default: the flat
-            # path's fixed cost is amortized over the batch, so it pays off
-            # on trees the per-query searcher still walks.
-            options = {}
-            if self._requested_flat_threshold is not None:
-                options["flat_refinement_threshold"] = self._requested_flat_threshold
             # This searcher (and its persistent intra-query pool) doubles as
             # the batched engine's small-batch fallback engine.
             self._batch_searcher = BatchSearcher(
                 self.index, normalize_queries=self.normalize_queries,
-                delta_source=self._delta_source, intra_searcher=self, **options)
+                flat_refinement_threshold=self.flat_refinement_threshold,
+                delta_source=self._delta_source, intra_searcher=self)
         return self._batch_searcher.knn_batch(queries, k=k,
                                               num_workers=num_workers,
                                               timeout_s=timeout_s)
 
-    # ------------------------------------------------------ approximate NN
-
-    def _approximate_descent(self, query_word: np.ndarray,
-                             query_summary: np.ndarray) -> LeafNode | None:
-        """Descend towards the leaf whose region contains the query word.
-
-        If no root child matches the query's 1-bit prefix, the leaf with the
-        smallest lower bound (from the leaf directory) is used instead.
-        """
-        return self.index.approximate_leaf(query_word, query_summary)
-
     # ------------------------------------------------------ flat refinement
 
     def _flat_directory(self, query_summary: np.ndarray, delta
-                        ) -> tuple[np.ndarray, np.ndarray]:
+                        ) -> tuple[np.ndarray, np.ndarray, float]:
         """Per-series lower bounds and global rows of the flat directory.
 
         A dynamic ``delta`` appends its buffered series as extra directory
         entries (same kernel, global row ids) and masks tombstoned rows —
-        base and delta alike — to ``+inf`` so they are never refined.
+        base and delta alike — to ``+inf`` so they are never refined.  The
+        third value is the seconds spent on the pending delta's entries
+        (what a trace reports as the ``delta`` phase).
         """
         bounds, rows = self.index.all_series_lower_bounds(query_summary)
+        delta_time = 0.0
         if delta is not None:
             if delta.base_alive is not None:
                 # Fresh kernel output per call, so in-place masking is safe.
                 bounds[~delta.base_alive[rows]] = np.inf
             if delta.rows.size:
+                start = time.perf_counter()
                 delta_bounds = batch_lower_bound(query_summary, delta.lower,
                                                  delta.upper, self._weights)
                 delta_bounds[~delta.alive] = np.inf
                 bounds = np.concatenate([bounds, delta_bounds])
                 rows = np.concatenate([rows, delta.rows])
-        return bounds, rows
+                delta_time = time.perf_counter() - start
+        return bounds, rows, delta_time
 
     def _flat_search(self, query: np.ndarray, query_summary: np.ndarray, heap,
                      stats: SearchStats, delta=None, block_size: int = 128,
-                     deadline: "float | None" = None) -> None:
+                     deadline: "float | None" = None) -> float:
         """Filter-and-refine over the flat per-series directory.
 
         The per-series lower bounds are computed in one vectorized call and
         the candidates refined through the shared blocked best-so-far loop
         (:meth:`_refine_candidates`) — the same GEMINI logic as the leaf-wise
         path, without per-leaf overhead.  Per-block times are recorded as the
-        parallel work items for the virtual-core simulation.
+        parallel work items for the virtual-core simulation.  Returns
+        :meth:`_flat_directory`'s delta seconds.
         """
         start = time.perf_counter()
-        bounds, rows = self._flat_directory(query_summary, delta)
+        bounds, rows, delta_time = self._flat_directory(query_summary, delta)
         stats.series_lower_bounds += bounds.shape[0]
         stats.traversal_time = time.perf_counter() - start
 
@@ -882,6 +849,7 @@ class ExactSearcher:
                                 self._flat_gather(rows, delta), heap, stats,
                                 block_size=block_size, time_blocks=True,
                                 deadline=deadline)
+        return delta_time
 
     def _flat_gather(self, rows: np.ndarray, delta):
         """Value gather over flat-directory candidate positions."""
@@ -891,9 +859,9 @@ class ExactSearcher:
         return lambda block: delta.gather(values, rows[block])
 
     def _flat_search_parallel(self, query: np.ndarray, query_summary: np.ndarray,
-                              heap: SharedKnnHeap, stats: SearchStats, delta,
+                              heap: BestSoFar, stats: SearchStats, delta,
                               num_workers: int, block_size: int = 128,
-                              deadline: "float | None" = None) -> None:
+                              deadline: "float | None" = None) -> float:
         """Flat filter-and-refine with the sorted directory drained by workers.
 
         Same bounds and candidates as :meth:`_flat_search`; the bound-sorted
@@ -906,7 +874,7 @@ class ExactSearcher:
         from repro.index.stats import merge_search_stats
 
         start = time.perf_counter()
-        bounds, rows = self._flat_directory(query_summary, delta)
+        bounds, rows, delta_time = self._flat_directory(query_summary, delta)
         candidates = np.flatnonzero(bounds < np.inf)
         order = candidates[np.argsort(bounds[candidates])]
         stats.series_lower_bounds += bounds.shape[0]
@@ -928,6 +896,7 @@ class ExactSearcher:
 
         merge_search_stats(stats, self._worker_pool(num_workers).map_shared(
             process, blocks, make_state=SearchStats))
+        return delta_time
 
     # -------------------------------------------------------- leaf queueing
 
@@ -1096,7 +1065,7 @@ class ExactSearcher:
 
     def _drain_queue_parallel(self, query: np.ndarray, query_summary: np.ndarray,
                               ordered_leaves: list[LeafNode],
-                              ordered_bounds: np.ndarray, heap: SharedKnnHeap,
+                              ordered_bounds: np.ndarray, heap: BestSoFar,
                               stats: SearchStats, delta,
                               num_workers: int,
                               deadline: "float | None" = None) -> None:

@@ -39,6 +39,19 @@ QUARANTINED = "quarantined"
 SHARD_STATES = (HEALTHY, SUSPECT, QUARANTINED)
 
 
+def _seeded_backoff(base_s: float, cap_s: float, jitter: float, seed: int,
+                    shard: int, step: int, step_prime: int) -> float:
+    """``min(cap_s, base_s * 2**step) * (1 + jitter * u)``, ``u ∈ [0, 1)``.
+
+    ``u`` is a pure function of ``(seed, shard, step)`` (mixed into one
+    integer — tuple seeding was removed from :class:`random.Random`);
+    ``step_prime`` weights the step term so two schedules never alias.
+    """
+    exponential = min(cap_s, base_s * (2.0 ** step))
+    mixed = (seed * 1_000_003 + shard * 8_191 + step * step_prime) & 0xFFFFFFFF
+    return exponential * (1.0 + jitter * random.Random(mixed).random())
+
+
 @dataclass(frozen=True)
 class RetryPolicy:
     """Deterministic capped exponential backoff for per-shard retries.
@@ -82,15 +95,11 @@ class RetryPolicy:
         """Sleep before retry ``attempt`` of ``shard``; never above ``limit``.
 
         Deterministic: the jitter PRNG is seeded from ``(seed, shard,
-        attempt)`` alone (mixed into one integer — tuple seeding was removed
-        from :class:`random.Random`), so equal inputs always produce equal
-        delays, and the bound ``backoff_cap_s * (1 + jitter)`` always holds.
+        attempt)`` alone, so equal inputs always produce equal delays, and
+        the bound ``backoff_cap_s * (1 + jitter)`` always holds.
         """
-        exponential = min(self.backoff_cap_s,
-                          self.backoff_base_s * (2.0 ** attempt))
-        mixed = (self.seed * 1_000_003 + shard * 8_191 + attempt) & 0xFFFFFFFF
-        unit = random.Random(mixed).random()
-        delay = exponential * (1.0 + self.jitter * unit)
+        delay = _seeded_backoff(self.backoff_base_s, self.backoff_cap_s,
+                                self.jitter, self.seed, shard, attempt, 1)
         if limit is not None:
             delay = min(delay, max(0.0, limit))
         return delay
@@ -172,12 +181,8 @@ class SupervisorPolicy:
         Same mixing as :meth:`RetryPolicy.backoff_s` (a different prime for
         the attempt term so supervisor and retry schedules never alias).
         """
-        exponential = min(self.restart_cap_s,
-                          self.restart_base_s * (2.0 ** restart))
-        mixed = (self.seed * 1_000_003 + shard * 8_191
-                 + restart * 131) & 0xFFFFFFFF
-        unit = random.Random(mixed).random()
-        return exponential * (1.0 + self.jitter * unit)
+        return _seeded_backoff(self.restart_base_s, self.restart_cap_s,
+                               self.jitter, self.seed, shard, restart, 131)
 
 
 class CrashLoopBreaker:
@@ -368,10 +373,6 @@ class ShardHealthBoard:
         with self._lock:
             return [index for index, record in enumerate(self._shards)
                     if record.state == QUARANTINED]
-
-    def any_quarantined(self) -> bool:
-        with self._lock:
-            return any(record.state == QUARANTINED for record in self._shards)
 
     def report(self) -> "list[dict]":
         """JSON-ready per-shard records for ``/healthz`` and ``health_report``."""

@@ -10,18 +10,25 @@ total order.  The design goals, in order:
 * **Bit-identity when healthy.**  With every shard answering, ``knn`` /
   ``knn_batch`` return exactly what one unsharded index over the same rows
   returns — same ids, same distances, same tie order.  The merge never
-  trusts refinement-time distances: it recomputes the candidate union's
-  distances with the same canonical ``einsum`` + ``lexsort`` procedure as
-  :func:`~repro.index.search.finalize_result` (per-row results are
-  independent of which other rows sit in the matrix), so selecting the top
-  ``k`` of the union *is* the unsharded finalization.
-* **Cross-shard pruning.**  Single-query ``knn`` hands every shard the same
-  :class:`~repro.index.search.SharedKnnHeap` through a
-  :class:`~repro.index.search._TandemHeap`: one shard's tightened
-  best-so-far prunes every other shard's remaining work, exactly like the
-  intra-query parallel engine's shared BSF — admissible because the
-  published threshold never drops below the true global k-th distance and
-  the tie-tolerant filters keep candidates *at* the threshold.
+  trusts refinement-time distances: it ranks the candidate union through
+  :func:`~repro.index.search.ranked_result`, the very function
+  :func:`~repro.index.search.finalize_result` packages one index's winners
+  with (per-row results are independent of which other rows sit in the
+  matrix), so selecting the top ``k`` of the union *is* the unsharded
+  finalization.
+* **Cross-shard pruning.**  Single-query ``knn`` searches every shard on a
+  :class:`~repro.index.search.BestSoFar` whose parent is one shared
+  cross-shard heap: one shard's tightened best-so-far prunes every other
+  shard's remaining work, exactly like the intra-query parallel engine's
+  shared BSF — admissible because the published threshold never drops below
+  the true global k-th distance and the tie-tolerant filters keep
+  candidates *at* the threshold.
+* **One attempt path.**  What one shard contributes to a scatter is computed
+  by :func:`shard_answer` — in this process, or inside a worker process that
+  ships the same tuple back (:mod:`repro.cluster`); everything after it
+  (seqlock retry, deadline slices, id translation, the gather) is
+  :meth:`ShardedIndex._attempt` and :meth:`ShardedIndex._gather`, whichever
+  side of a process boundary the engine lives on.
 * **Fault isolation.**  A shard failure is retried with deterministic
   capped-exponential backoff (:class:`~repro.index.shard_health.RetryPolicy`)
   inside a per-shard slice of the query deadline; persistent failures
@@ -49,6 +56,7 @@ instead of mistranslating.
 
 from __future__ import annotations
 
+import functools
 import json
 import operator
 import threading
@@ -74,11 +82,13 @@ from repro.core.normalization import znormalize, znormalize_batch
 from repro.core.series import Dataset
 from repro.index.dynamic import DynamicIndex, _resolve_tree
 from repro.index.search import (
+    BestSoFar,
     SearchResult,
     SearchStats,
-    SharedKnnHeap,
+    ranked_result,
     resolve_deadline,
     validated_count,
+    validated_queries,
     validated_query,
 )
 from repro.index.shard_health import (
@@ -128,14 +138,17 @@ def _shard_dirname(index: int) -> str:
 class _Shard:
     """Runtime record of one shard: lazy engine, id map, seqlock version."""
 
-    __slots__ = ("index", "path", "engine", "lock", "version", "globals_map",
-                 "num_surviving_hint")
+    __slots__ = ("index", "path", "engine", "remote", "lock", "version",
+                 "globals_map", "num_surviving_hint")
 
     def __init__(self, index: int, path: Path, globals_map: np.ndarray,
                  num_surviving_hint: int) -> None:
         self.index = index
         self.path = path
         self.engine: "DynamicIndex | None" = None
+        # Set when the shard's engine lives in a worker process: an object
+        # with ``answer`` (:func:`shard_answer` over RPC) and ``probe``.
+        self.remote = None
         self.lock = threading.Lock()
         # Seqlock: odd while a compaction rewrites the id map.  Readers
         # capture the (even) version, do their work, and retry when it moved.
@@ -166,33 +179,59 @@ class _Outcome:
         return self.status == "answered"
 
 
-class _GlobalBestAdapter:
-    """Offers a shard's refined candidates to the cross-shard best-so-far.
+def shard_answer(engine, queries: np.ndarray, k: int,
+                 timeout_s: "float | None" = None,
+                 best: "BestSoFar | None" = None):
+    """One shard's contribution to a scatter, from a DynamicIndex-like engine.
 
-    Rows arrive shard-local; the adapter translates them through the shard's
-    live id map before offering, so the shared heap's tie order is the
-    *global* (distance², row) order.  It also records that the shard
-    contributed offers at all — the gather uses that to detect when an
-    ultimately-failed shard may have contaminated the shared threshold (see
-    ``ShardedIndex.knn``).
+    A 1-D ``queries`` is one query searched on ``best`` (the caller's
+    :class:`~repro.index.search.BestSoFar`, floored or parented as the
+    deployment needs); a 2-D one goes to the batched engine, which keeps its
+    own schedule (no cross-shard best-so-far).  ``k`` is clamped to the
+    shard's surviving rows.  Returns ``(ids, values, stats, surviving)``
+    with one entry per query in the first three: shard-local candidate ids,
+    their raw served values, and the search stats.
     """
+    single = queries.ndim == 1
+    surviving = int(engine.num_surviving)
+    effective_k = min(k, surviving)
+    if effective_k == 0:
+        count = 1 if single else queries.shape[0]
+        return ([np.empty(0, dtype=np.int64)] * count,
+                [np.empty((0, queries.shape[-1]))] * count,
+                [SearchStats(num_series=0) for _ in range(count)], surviving)
+    if single:
+        results = [engine.knn(queries, k=effective_k, num_workers=1,
+                              timeout_s=timeout_s, shared_best=best)]
+    else:
+        results = engine.knn_batch(queries, k=effective_k, num_workers=1,
+                                   timeout_s=timeout_s)
+    ids = [result.indices for result in results]
+    values = [engine.gather_values(rows) for rows in ids]
+    return ids, values, [result.stats for result in results], surviving
 
-    __slots__ = ("_best", "_shard", "_offered")
 
-    def __init__(self, best: SharedKnnHeap, shard: _Shard,
-                 offered: "list[bool]") -> None:
-        self._best = best
-        self._shard = shard
-        self._offered = offered
+def shard_probe(engine) -> int:
+    """The readmission probe: a real shard-local 1-NN over the shard's own
+    first row, so passing means the shard actually serves, not merely loads.
+    Returns the shard's surviving-row count."""
+    surviving = int(engine.num_surviving)
+    if surviving > 0:
+        engine.knn(np.asarray(engine.tree.dataset.values)[0], k=1,
+                   num_workers=1)
+    return surviving
 
-    @property
-    def threshold(self) -> float:
-        return self._best.threshold
 
-    def offer_block(self, squared: np.ndarray, rows: np.ndarray) -> None:
-        self._offered[self._shard.index] = True
-        rows = np.asarray(rows, dtype=np.int64)
-        self._best.offer_block(squared, self._shard.globals_map[rows])
+def _slice_timeout(shard: _Shard, slice_deadline: "float | None",
+                   waiting: str = "") -> "float | None":
+    """Seconds left in a shard's deadline slice; raises once it is spent."""
+    if slice_deadline is None:
+        return None
+    timeout_s = slice_deadline - time.monotonic()
+    if timeout_s <= 0:
+        raise TimeoutError(
+            f"shard {shard.index}: deadline slice expired{waiting}")
+    return timeout_s
 
 
 class ShardedIndex:
@@ -295,23 +334,13 @@ class ShardedIndex:
             save_index(index, path / _shard_dirname(shard_index))
 
         WorkerPool(num_workers).map(build_one, range(num_shards))
-        manifest = {
-            "format": _FORMAT_NAME,
-            "version": SHARDED_FORMAT_VERSION,
-            "num_shards": num_shards,
-            "series_length": int(matrix.shape[1]),
-            "index_type": index_types[0],
-            "next_global": int(matrix.shape[0]),
-            "shards": [
-                {
-                    "dir": _shard_dirname(i),
-                    "globals": {"start": int(offsets[i]), "count": int(counts[i])},
-                    "num_surviving": int(counts[i]),
-                }
-                for i in range(num_shards)
-            ],
-        }
-        cls._write_manifest(path, manifest)
+        shards = [_Shard(i, path / _shard_dirname(i),
+                         np.arange(offsets[i], offsets[i + 1], dtype=np.int64),
+                         int(counts[i]))
+                  for i in range(num_shards)]
+        cls._write_manifest(path, cls._manifest_dict(
+            shards, int(matrix.shape[1]), index_types[0],
+            int(matrix.shape[0])))
         return cls.load(path, **load_options)
 
     @classmethod
@@ -329,24 +358,13 @@ class ShardedIndex:
         ``engine_options`` are forwarded to every shard's
         :func:`~repro.index.persistence.load_dynamic` call.
         """
-        path = Path(path)
-        manifest = cls._read_manifest(path)
-        shards = []
-        for index, entry in enumerate(manifest["shards"]):
-            globals_map = cls._globals_from_manifest(entry["globals"])
-            shards.append(_Shard(index, path / entry["dir"], globals_map,
-                                 int(entry.get("num_surviving",
-                                               globals_map.shape[0]))))
-        sharded = cls(path, shards,
-                      series_length=int(manifest["series_length"]),
-                      next_global=int(manifest["next_global"]),
-                      index_type=manifest.get("index_type", "sofa"),
-                      degraded=degraded, retry=retry, health=health,
-                      verify=verify, mmap=mmap, writable=writable,
-                      gather_grace_s=gather_grace_s,
-                      engine_options=engine_options)
+        sharded = cls._attach(path, degraded=degraded, retry=retry,
+                              health=health, verify=verify, mmap=mmap,
+                              writable=writable,
+                              gather_grace_s=gather_grace_s,
+                              engine_options=engine_options)
         if not lazy:
-            for shard in shards:
+            for shard in sharded._shards:
                 try:
                     sharded._engine(shard)
                 except CorruptionError as error:
@@ -355,6 +373,22 @@ class ShardedIndex:
                 except Exception as error:  # noqa: BLE001 — quarantine, don't fail the load
                     sharded._board.record_transient(shard.index, error)
         return sharded
+
+    @classmethod
+    def _attach(cls, path, **options):
+        """Construct ``cls`` over the shards a sharded manifest describes."""
+        path = Path(path)
+        manifest = cls._read_manifest(path)
+        shards = []
+        for index, entry in enumerate(manifest["shards"]):
+            globals_map = cls._globals_from_manifest(entry["globals"])
+            shards.append(_Shard(index, path / entry["dir"], globals_map,
+                                 int(entry.get("num_surviving",
+                                               globals_map.shape[0]))))
+        return cls(path, shards,
+                   series_length=int(manifest["series_length"]),
+                   next_global=int(manifest["next_global"]),
+                   index_type=manifest.get("index_type", "sofa"), **options)
 
     # ------------------------------------------------------------ inspection
 
@@ -610,11 +644,12 @@ class ShardedIndex:
         for engine-interface compatibility; the scatter itself is the
         parallelism (each shard searches single-threaded).
 
-        If a shard fails *after* contributing candidates to the shared
-        best-so-far, its offers may have over-tightened the pruning bound
-        for the survivors; the gather detects that and re-scatters the
-        surviving shards with a fresh heap (within the deadline), keeping
-        the degraded-answer identity guarantee.
+        If a shard attempt fails *after* contributing candidates to the
+        shared best-so-far, its offers may have over-tightened the pruning
+        bound — for the survivors, and (offered twice) once its own retry
+        succeeds; the gather detects that and re-scatters the answering
+        shards with a fresh heap (within the deadline), keeping the identity
+        guarantees.
 
         ``trace`` records the scatter's phase spans (normalize, scatter,
         merge) plus one detail span per shard with its status and engine
@@ -632,18 +667,19 @@ class ShardedIndex:
         outcomes: "list[_Outcome]" = []
         presets: "dict[int, _Outcome] | None" = None
         for _ in range(3):  # initial scatter + bounded contamination reruns
-            offered = [False] * len(self._shards)
-            global_best = SharedKnnHeap(k)
-
-            def attempt(shard: _Shard, slice_deadline: "float | None",
-                        _offered=offered, _best=global_best):
-                return self._attempt_knn(shard, slice_deadline, query, k,
-                                         _best, _offered)
-
-            outcomes = self._scatter(attempt, deadline, presets=presets)
-            contaminated = [o for o in outcomes
-                            if not o.answered and offered[o.shard]]
-            if not contaminated:
+            # Every attempt's heap, per shard: the gather reads their
+            # ``offered`` flags even while an abandoned attempt still runs.
+            heaps: "list[list[BestSoFar]]" = [[] for _ in self._shards]
+            outcomes = self._scatter(
+                functools.partial(self._attempt, queries=query, k=k,
+                                  global_best=BestSoFar(k), heaps=heaps),
+                deadline, presets=presets)
+            # Contaminated: an attempt that did not end up as its shard's
+            # answer (a failure, or one a successful retry re-offered over)
+            # left offers in the shared heap.
+            if not any(heap.offered for o in outcomes for heap in
+                       (heaps[o.shard][:-1] if o.answered
+                        else heaps[o.shard])):
                 break
             answered = [o for o in outcomes if o.answered]
             if not answered:
@@ -659,11 +695,11 @@ class ShardedIndex:
             for outcome in outcomes:
                 trace.add_detail(
                     f"shard{outcome.shard}",
-                    outcome.stats.total_time if outcome.stats is not None
+                    outcome.stats[0].total_time if outcome.stats is not None
                     else 0.0,
                     answered=int(outcome.answered))
             merge_start = time.perf_counter()
-        result = self._merge_knn(query_normalized, k, outcomes, mode)
+        result = self._gather(query_normalized[None, :], k, outcomes, mode)[0]
         if trace is not None:
             trace.add_phase("merge", time.perf_counter() - merge_start,
                             candidates=int(result.indices.size))
@@ -677,110 +713,53 @@ class ShardedIndex:
         return self.knn(query, k=1, num_workers=num_workers,
                         timeout_s=timeout_s, degraded=degraded)
 
-    def _attempt_knn(self, shard: _Shard, slice_deadline: "float | None",
-                     query: np.ndarray, k: int, global_best: SharedKnnHeap,
-                     offered: "list[bool]"):
-        """One attempt of one shard: search, translate ids, gather values.
+    def _attempt(self, shard: _Shard, slice_deadline: "float | None", *,
+                 queries: np.ndarray, k: int,
+                 global_best: "BestSoFar | None" = None,
+                 heaps: "list[list[BestSoFar]] | None" = None):
+        """One attempt of one shard: ask it, translate its ids.
+
+        The single path behind ``knn`` (one query, searched on a heap whose
+        parent is ``global_best``) and ``knn_batch`` (a query matrix, no
+        cross-shard heap), whether the shard's engine is in this process
+        (:func:`shard_answer`) or a worker's (``shard.remote.answer``, the
+        same tuple over RPC).
 
         The seqlock dance: capture the shard's (even) version, run the
         query, and retry if a compaction moved it — the id translation and
         gathered values must come from one consistent generation.
         """
-        engine = self._engine(shard)
+        remote = shard.remote
+        ask = remote.answer if remote is not None \
+            else functools.partial(shard_answer, self._engine(shard))
         while True:
             version = shard.version
             if version & 1:  # compaction in progress: brief, bounded wait
-                if slice_deadline is not None \
-                        and time.monotonic() >= slice_deadline:
-                    raise TimeoutError(
-                        f"shard {shard.index}: deadline slice expired waiting "
-                        f"for a compaction")
+                _slice_timeout(shard, slice_deadline,
+                               " waiting for a compaction")
                 time.sleep(0.0005)
                 continue
-            timeout_s = None
-            if slice_deadline is not None:
-                timeout_s = slice_deadline - time.monotonic()
-                if timeout_s <= 0:
-                    raise TimeoutError(
-                        f"shard {shard.index}: deadline slice expired")
-            surviving = engine.num_surviving
-            effective_k = min(k, surviving)
-            if effective_k == 0:
-                if shard.version != version:
-                    continue
-                payload = (np.empty(0, dtype=np.int64),
-                           np.empty((0, self._series_length)))
-                return payload, SearchStats(num_series=0), 0
-            adapter = _GlobalBestAdapter(global_best, shard, offered)
-            result = engine.knn(query, k=effective_k, num_workers=1,
-                                timeout_s=timeout_s, shared_best=adapter)
-            values = engine.gather_values(result.indices)
+            timeout_s = _slice_timeout(shard, slice_deadline)
+            best = None
+            if global_best is not None:
+                # Rows are translated through the shard's *live* id map: an
+                # insert maps its rows before the engine can surface them.
+                best = BestSoFar(k, parent=global_best,
+                                 row_map=lambda rows: shard.globals_map[rows])
+                heaps[shard.index].append(best)
+            ids, values, stats, surviving = ask(queries, k, timeout_s, best)
             globals_map = shard.globals_map
             if shard.version != version:
                 continue
-            return ((globals_map[result.indices], values), result.stats,
-                    surviving)
+            # Exact surviving-row bookkeeping even while the engine lives
+            # elsewhere: num_surviving sums these hints.
+            shard.num_surviving_hint = surviving
+            return ([(globals_map[rows], block)
+                     for rows, block in zip(ids, values)], stats, surviving)
 
-    def _merge_knn(self, query_normalized: np.ndarray, k: int,
-                   outcomes: "list[_Outcome]", mode: str) -> SearchResult:
-        """Gather per-shard candidates into the canonical global answer."""
-        answered = [o for o in outcomes if o.answered]
-        total = len(outcomes)
-        partial = len(answered) < total
-        if partial and (mode == "forbid" or not answered):
-            raise self._partial_error(outcomes, mode)
-        surviving_total = sum(o.surviving for o in answered)
-        if k > surviving_total and not partial:
-            raise SearchError(
-                f"k={k} exceeds the number of surviving series "
-                f"({surviving_total})")
-        rows = np.concatenate([o.payload[0] for o in answered])
-        values = np.concatenate([o.payload[1] for o in answered], axis=0)
-        stats = self._merged_stats([o.stats for o in answered],
-                                   surviving_total, total, len(answered))
-        # Canonical finalization over the candidate union: per-row einsum
-        # distances are independent of the other rows in the matrix, so the
-        # lexsort's first k entries are exactly finalize_result's output for
-        # one index over the union — the bit-identity argument.
-        order = np.argsort(rows)
-        rows_sorted = rows[order]
-        difference = values[order] - query_normalized
-        squared = np.einsum("ij,ij->i", difference, difference)
-        keep = np.lexsort((rows_sorted, squared))[:min(k, rows_sorted.shape[0])]
-        return SearchResult(indices=rows_sorted[keep],
-                            distances=np.sqrt(squared[keep]), stats=stats)
-
-    def knn_batch(self, queries, k: int = 1, num_workers: "int | None" = None,
-                  timeout_s: "float | None" = None,
-                  degraded: "str | None" = None) -> "list[SearchResult]":
-        """Batched scatter-gather: one ``knn_batch`` per shard, merged per query.
-
-        No cross-shard best-so-far here (the per-shard batched engines keep
-        their own schedules); answers are still exact and bit-identical to
-        the unsharded batch through the same candidate-union recomputation.
-        """
-        wall_start = time.perf_counter()
-        k = validated_count(k)
-        try:
-            matrix = np.asarray(queries, dtype=np.float64)
-        except (TypeError, ValueError) as error:
-            raise ValidationError(f"queries are not numeric: {error}") from None
-        if matrix.ndim != 2 or matrix.shape[1] != self._series_length:
-            raise ValidationError(
-                f"queries must be a 2-D matrix of series of length "
-                f"{self._series_length}, got shape {matrix.shape}")
-        if not np.isfinite(matrix).all():
-            raise ValidationError("queries contain NaN or infinite values")
-        deadline = resolve_deadline(timeout_s)
-        mode = self._degraded_mode(degraded)
-        if matrix.shape[0] == 0:
-            return []
-        normalized = znormalize_batch(matrix)
-
-        def attempt(shard: _Shard, slice_deadline: "float | None"):
-            return self._attempt_batch(shard, slice_deadline, matrix, k)
-
-        outcomes = self._scatter(attempt, deadline)
+    def _gather(self, normalized: np.ndarray, k: int,
+                outcomes: "list[_Outcome]", mode: str) -> "list[SearchResult]":
+        """Merge per-shard candidates into one canonical answer per query."""
         answered = [o for o in outcomes if o.answered]
         total = len(outcomes)
         partial = len(answered) < total
@@ -792,69 +771,46 @@ class ShardedIndex:
                 f"k={k} exceeds the number of surviving series "
                 f"({surviving_total})")
         results = []
-        for position in range(matrix.shape[0]):
+        for position, query in enumerate(normalized):
             rows = np.concatenate([o.payload[position][0] for o in answered])
             values = np.concatenate([o.payload[position][1] for o in answered],
                                     axis=0)
             stats = self._merged_stats([o.stats[position] for o in answered],
                                        surviving_total, total, len(answered))
+            # Per-row canonical distances are independent of the other rows
+            # in the matrix, so the top k of the union are exactly
+            # finalize_result's output for one index over the union — the
+            # bit-identity argument.
             order = np.argsort(rows)
-            rows_sorted = rows[order]
-            difference = values[order] - normalized[position]
-            squared = np.einsum("ij,ij->i", difference, difference)
-            keep = np.lexsort((rows_sorted, squared))[
-                :min(k, rows_sorted.shape[0])]
-            results.append(SearchResult(indices=rows_sorted[keep],
-                                        distances=np.sqrt(squared[keep]),
-                                        stats=stats))
+            results.append(ranked_result(query, rows[order], values[order],
+                                         stats, k))
+        return results
+
+    def knn_batch(self, queries, k: int = 1, num_workers: "int | None" = None,
+                  timeout_s: "float | None" = None,
+                  degraded: "str | None" = None) -> "list[SearchResult]":
+        """Batched scatter-gather: one ``knn_batch`` per shard, merged per query.
+
+        No cross-shard best-so-far here (the per-shard batched engines keep
+        their own schedules); answers are still exact and bit-identical to
+        the unsharded batch through the same candidate-union ranking.
+        """
+        wall_start = time.perf_counter()
+        k = validated_count(k)
+        matrix = validated_queries(queries, self._series_length)
+        deadline = resolve_deadline(timeout_s)
+        mode = self._degraded_mode(degraded)
+        if matrix.shape[0] == 0:
+            return []
+        outcomes = self._scatter(
+            functools.partial(self._attempt, queries=matrix, k=k), deadline)
+        results = self._gather(znormalize_batch(matrix), k, outcomes, mode)
         # Every result carries the batch's caller-observed wall time, the
         # same convention as BatchSearcher.knn_batch.
         wall_time = time.perf_counter() - wall_start
         for result in results:
             result.stats.wall_time_s = wall_time
         return results
-
-    def _attempt_batch(self, shard: _Shard, slice_deadline: "float | None",
-                       matrix: np.ndarray, k: int):
-        engine = self._engine(shard)
-        num_queries = matrix.shape[0]
-        while True:
-            version = shard.version
-            if version & 1:
-                if slice_deadline is not None \
-                        and time.monotonic() >= slice_deadline:
-                    raise TimeoutError(
-                        f"shard {shard.index}: deadline slice expired waiting "
-                        f"for a compaction")
-                time.sleep(0.0005)
-                continue
-            timeout_s = None
-            if slice_deadline is not None:
-                timeout_s = slice_deadline - time.monotonic()
-                if timeout_s <= 0:
-                    raise TimeoutError(
-                        f"shard {shard.index}: deadline slice expired")
-            surviving = engine.num_surviving
-            effective_k = min(k, surviving)
-            if effective_k == 0:
-                if shard.version != version:
-                    continue
-                empty = (np.empty(0, dtype=np.int64),
-                         np.empty((0, self._series_length)))
-                return ([empty] * num_queries,
-                        [SearchStats(num_series=0)
-                         for _ in range(num_queries)], 0)
-            shard_results = engine.knn_batch(matrix, k=effective_k,
-                                             num_workers=1,
-                                             timeout_s=timeout_s)
-            globals_map = shard.globals_map
-            payload = [(globals_map[result.indices],
-                        engine.gather_values(result.indices))
-                       for result in shard_results]
-            if shard.version != version:
-                continue
-            return payload, [result.stats for result in shard_results], \
-                surviving
 
     def _merged_stats(self, parts: "list[SearchStats]", surviving_total: int,
                       shards_total: int, shards_answered: int) -> SearchStats:
@@ -1041,11 +997,12 @@ class ShardedIndex:
         Persistent failures reload the engine from disk first (a corrupt
         snapshot can only recover through a repair + reload); transient ones
         re-exercise the existing engine.  A passing probe answers a 1-NN
-        query, so readmission means the shard actually serves again.
+        query (:func:`shard_probe`; a remote shard runs it in its worker),
+        so readmission means the shard actually serves again.
         """
         shard = self._shards[index]
         with shard.lock:
-            if self._board.needs_reload(index):
+            if shard.remote is None and self._board.needs_reload(index):
                 engine, shard.engine = shard.engine, None
                 if engine is not None:
                     try:
@@ -1053,11 +1010,10 @@ class ShardedIndex:
                     except Exception:  # noqa: BLE001 — closing damaged state
                         pass
             try:
-                engine = self._engine_locked(shard)
-                if engine.num_surviving > 0:
-                    probe_query = np.asarray(
-                        engine.tree.dataset.values)[0]
-                    engine.knn(probe_query, k=1, num_workers=1)
+                if shard.remote is not None:
+                    shard.remote.probe()
+                else:
+                    shard_probe(self._engine_locked(shard))
             except CorruptionError as error:
                 shard.engine = None
                 self._board.record_persistent(index, error)
@@ -1109,24 +1065,29 @@ class ShardedIndex:
                     with shard.lock:
                         shard.engine.save(shard.path)
                         shard.num_surviving_hint = shard.engine.num_surviving
-            self._write_manifest(self.path, self._manifest_dict())
+            self._write_manifest(self.path, self._manifest_dict(
+                self._shards, self._series_length, self._index_type,
+                self._next_global))
         return self
 
-    def _manifest_dict(self) -> dict:
+    @staticmethod
+    def _manifest_dict(shards: "list[_Shard]", series_length: int,
+                       index_type: str, next_global: int) -> dict:
         return {
             "format": _FORMAT_NAME,
             "version": SHARDED_FORMAT_VERSION,
-            "num_shards": len(self._shards),
-            "series_length": self._series_length,
-            "index_type": self._index_type,
-            "next_global": self._next_global,
+            "num_shards": len(shards),
+            "series_length": series_length,
+            "index_type": index_type,
+            "next_global": next_global,
             "shards": [
                 {
                     "dir": shard.path.name,
-                    "globals": self._globals_to_manifest(shard.globals_map),
+                    "globals": ShardedIndex._globals_to_manifest(
+                        shard.globals_map),
                     "num_surviving": int(shard.num_surviving_hint),
                 }
-                for shard in self._shards
+                for shard in shards
             ],
         }
 

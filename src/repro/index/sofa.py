@@ -13,16 +13,11 @@ which is exactly the swap the paper performs (Section IV-G).
 
 from __future__ import annotations
 
-import numpy as np
-
-from repro.core.errors import IndexError_
-from repro.core.series import Dataset
-from repro.index.search import ExactSearcher, SearchResult
-from repro.index.tree import TreeIndex
+from repro.index.facade import TreeFacade
 from repro.transforms.sfa import SFA
 
 
-class SofaIndex:
+class SofaIndex(TreeFacade):
     """In-memory exact similarity-search index over SFA words.
 
     Parameters
@@ -51,6 +46,7 @@ class SofaIndex:
     """
 
     summarization_name = "SFA"
+    index_type = "sofa"
 
     def __init__(self, word_length: int = 16, alphabet_size: int = 256,
                  leaf_size: int = 100, binning: str = "equi-width",
@@ -59,139 +55,18 @@ class SofaIndex:
                  split_policy: str = "balanced", random_state: int = 0,
                  num_workers: "int | None" = None,
                  builder: str = "vectorized") -> None:
-        self.summarization = SFA(
-            word_length=word_length,
-            alphabet_size=alphabet_size,
-            binning=binning,
-            variance_selection=variance_selection,
-            sample_fraction=sample_fraction,
-            num_candidate_coefficients=num_candidate_coefficients,
-            random_state=random_state,
-        )
-        self.tree = TreeIndex(self.summarization, leaf_size=leaf_size,
-                              split_policy=split_policy, num_workers=num_workers,
-                              builder=builder)
-        self._searcher: ExactSearcher | None = None
-
-    def build(self, dataset: "Dataset | np.ndarray",
-              num_workers: "int | None" = None) -> "SofaIndex":
-        """Build the index: learn SFA (MCB), summarize all series, grow the tree.
-
-        ``num_workers`` overrides the constructor's worker count for this
-        build only; answers are bit-identical for every worker count.
-        """
-        self.tree.build(dataset if isinstance(dataset, Dataset) else Dataset(dataset),
-                        num_workers=num_workers)
-        self._searcher = ExactSearcher(self.tree)
-        return self
-
-    @property
-    def is_built(self) -> bool:
-        return self._searcher is not None
-
-    def _require_built(self) -> ExactSearcher:
-        if self._searcher is None:
-            raise IndexError_(
-                "SofaIndex has not been built; call build(dataset) or "
-                "SofaIndex.load(path) before querying"
-            )
-        return self._searcher
-
-    def save(self, path) -> "SofaIndex":
-        """Write the built index as a versioned snapshot directory.
-
-        See :mod:`repro.index.persistence`.  Returns ``self`` so saving can be
-        chained after :meth:`build`.
-        """
-        from repro.index.persistence import save_index
-
-        self._require_built()
-        save_index(self, path)
-        return self
-
-    @classmethod
-    def load(cls, path, mmap: bool = True, verify: str = "lazy") -> "SofaIndex":
-        """Load a SOFA snapshot; ``mmap=True`` maps the data without copying.
-
-        The loaded index answers ``knn`` / ``knn_batch`` bit-identically to
-        the index that was saved.  Loading a snapshot of a different index
-        type raises :class:`~repro.core.errors.IndexError_`.  ``verify``
-        controls checksum verification of the payload arrays (``"eager"``,
-        ``"lazy"`` or ``"off"``; see :func:`repro.index.persistence.load_tree`).
-        """
-        from repro.index.persistence import load_index
-
-        return load_index(path, mmap=mmap, expected_type="sofa", verify=verify)
-
-    def dynamic(self, **options) -> "DynamicIndex":
-        """Wrap this built index in a :class:`~repro.index.dynamic.DynamicIndex`.
-
-        The returned index serves *tree ∪ delta − tombstones* with buffered
-        ``insert``/``delete`` and ``compact()``; ``options`` are forwarded to
-        its constructor (``compact_threshold``, ``auto_compact``, ...).
-        """
-        from repro.index.dynamic import DynamicIndex
-
-        self._require_built()
-        return DynamicIndex(self, **options)
-
-    def knn(self, query: np.ndarray, k: int = 1,
-            num_workers: "int | None" = None,
-            timeout_s: "float | None" = None,
-            trace=None) -> SearchResult:
-        """Exact k nearest neighbours of ``query``.
-
-        ``num_workers`` threads drain the query's surviving-leaf queue
-        against a shared best-so-far (``None`` = the ``REPRO_NUM_WORKERS``
-        process default); answers are bit-identical for every worker count.
-        ``timeout_s`` bounds the search: on expiry the best-so-far is
-        finalized with ``stats.timed_out=True``; ``trace`` records the
-        query's phase spans without changing its answer (see
-        :meth:`repro.index.search.ExactSearcher.knn`).
-        """
-        return self._require_built().knn(query, k=k, num_workers=num_workers,
-                                         timeout_s=timeout_s, trace=trace)
-
-    def nearest_neighbor(self, query: np.ndarray,
-                         num_workers: "int | None" = None,
-                         timeout_s: "float | None" = None) -> SearchResult:
-        """Exact nearest neighbour of ``query``.
-
-        ``timeout_s`` bounds the search like :meth:`knn` does: on expiry the
-        best-so-far is finalized with ``stats.timed_out=True``.
-        """
-        return self._require_built().nearest_neighbor(query,
-                                                      num_workers=num_workers,
-                                                      timeout_s=timeout_s)
-
-    def approximate_knn(self, query: np.ndarray, k: int = 1,
-                        max_refined_series: int = 256) -> SearchResult:
-        """Approximate k nearest neighbours (refine only the best candidates).
-
-        See :meth:`repro.index.search.ExactSearcher.approximate_knn`.
-        """
-        return self._require_built().approximate_knn(query, k=k,
-                                                     max_refined_series=max_refined_series)
-
-    def knn_batch(self, queries: np.ndarray, k: int = 1,
-                  num_workers: "int | None" = None,
-                  timeout_s: "float | None" = None) -> "list[SearchResult]":
-        """Exact k-NN for a batch of queries, answered by the batched engine.
-
-        See :class:`~repro.index.batch_search.BatchSearcher`; ``num_workers``
-        shards the batch over a thread pool, falling back to intra-query
-        workers when the batch is smaller than the pool.  ``timeout_s``
-        bounds the whole batch (still-active queries finalize their
-        best-so-far with ``stats.timed_out=True``).
-        """
-        return self._require_built().knn_batch(queries, k=k,
-                                               num_workers=num_workers,
-                                               timeout_s=timeout_s)
-
-    @property
-    def timings(self):
-        """Construction timings (see :class:`~repro.index.tree.BuildTimings`)."""
-        return self.tree.timings
+        super().__init__(
+            SFA(
+                word_length=word_length,
+                alphabet_size=alphabet_size,
+                binning=binning,
+                variance_selection=variance_selection,
+                sample_fraction=sample_fraction,
+                num_candidate_coefficients=num_candidate_coefficients,
+                random_state=random_state,
+            ),
+            leaf_size=leaf_size, split_policy=split_policy,
+            num_workers=num_workers, builder=builder)
 
     def mean_selected_coefficient_index(self) -> float:
         """Mean index of the selected Fourier coefficients (Figure 13 x-axis)."""

@@ -39,14 +39,16 @@ from repro.core.errors import (
 from repro.core.normalization import znormalize
 from repro.index.dynamic import DynamicIndex
 from repro.index.search import (
-    FixedThreshold,
+    BestSoFar,
     SearchResult,
     SearchStats,
+    canonical_squared,
     stats_to_payload,
     validated_count,
+    validated_queries,
     validated_query,
 )
-from repro.index.sharded import ShardedIndex
+from repro.index.sharded import ShardedIndex, shard_answer, shard_probe
 from repro.index.stats import summarize_search_stats
 from repro.obs.metrics import get_registry
 from repro.obs.slowlog import SlowQueryLog
@@ -165,7 +167,8 @@ class ServedIndex:
         self._m_leaves = _QUERY_WORK.labels(index=name, kind="leaves_visited")
 
     def observe_query(self, stats: SearchStats) -> None:
-        """Fold one answered query into this entry's exported metrics."""
+        """Fold one answered query into this entry's stats and metrics."""
+        self.search_stats.add(stats)
         self._m_latency.observe(stats.wall_time_s)
         self._m_queries.inc()
         if stats.timed_out:
@@ -216,6 +219,12 @@ class ServedIndex:
                                 for entry in health["shards"]),
             }
         return info
+
+
+def _candidates_payload(ids: np.ndarray, values: np.ndarray) -> dict:
+    """JSON form of one query's shard candidates (local ids + raw values)."""
+    return {"ids": [int(row) for row in ids],
+            "values": [[float(value) for value in row] for row in values]}
 
 
 class SearchApp:
@@ -478,7 +487,6 @@ class SearchApp:
             result = entry.engine.knn(query, k=k,
                                       num_workers=self.config.num_workers,
                                       timeout_s=timeout_s, trace=query_trace)
-        entry.search_stats.add(result.stats)
         entry.observe_query(result.stats)
         if self.slow_log is not None:
             logged = self.slow_log.observe(
@@ -515,46 +523,32 @@ class SearchApp:
                   threshold: "float | None" = None) -> dict:
         """One shard's contribution to a cluster scatter (worker-mode RPC).
 
-        Mirrors one in-process scatter attempt
-        (:meth:`repro.index.sharded.ShardedIndex._attempt_knn`) over the
-        wire: clamp ``k`` to the shard's surviving rows, search with the
+        JSON-encodes :func:`~repro.index.sharded.shard_answer` — the very
+        function an in-process scatter attempt calls — searched under the
         coordinator's forwarded best-so-far ``threshold`` as a frozen
-        pruning bound, and return shard-*local* candidate ids, their raw
-        normalized values, and canonical squared distances (the same
-        einsum the coordinator's merge recomputes, so the offers it makes
-        to its live heap carry identical bits).
+        pruning floor: shard-*local* candidate ids, their raw normalized
+        values, and canonical squared distances (so the offers the
+        coordinator makes to its live heap carry the bits its merge
+        recomputes).
         """
         entry = self._entry(name)
         k = validated_count(k)
         timeout_s = self.config.clamp_timeout(timeout_s)
         query = validated_query(query, engine_series_length(entry.engine))
-        engine = entry.engine
-        surviving = int(engine.num_surviving)
-        effective_k = min(k, surviving)
-        if effective_k == 0:
-            return {"ids": [], "values": [], "squared": [],
-                    "stats": stats_to_payload(SearchStats(num_series=0)),
-                    "surviving": surviving}
-        shared = FixedThreshold(threshold) if threshold is not None else None
-        result = engine.knn(query, k=effective_k, num_workers=1,
-                            timeout_s=timeout_s, shared_best=shared)
-        values = np.asarray(engine.gather_values(result.indices),
-                            dtype=np.float64)
-        difference = values - znormalize(query)
-        squared = np.einsum("ij,ij->i", difference, difference)
-        entry.search_stats.add(result.stats)
-        entry.observe_query(result.stats)
-        return {
-            "ids": [int(row) for row in result.indices],
-            "values": [[float(value) for value in row] for row in values],
-            "squared": [float(value) for value in squared],
-            "stats": stats_to_payload(result.stats),
-            "surviving": surviving,
-        }
+        best = BestSoFar(k, floor=threshold) if threshold is not None else None
+        ids, values, stats, surviving = shard_answer(
+            entry.engine, query, k, timeout_s, best)
+        entry.observe_query(stats[0])
+        squared = canonical_squared(znormalize(query), values[0])
+        return {**_candidates_payload(ids[0], values[0]),
+                "squared": [float(value) for value in squared],
+                "stats": stats_to_payload(stats[0]),
+                "surviving": surviving}
 
     def shard_knn_batch(self, name: str, queries, k: int = 1,
                         timeout_s: "float | None" = None) -> dict:
-        """Batched shard RPC: one engine ``knn_batch``, per-query candidates.
+        """Batched shard RPC: :func:`~repro.index.sharded.shard_answer` of a
+        query matrix, JSON-encoded.
 
         No cross-shard best-so-far (matching the in-process batched
         scatter); every query's candidates come back with raw values for
@@ -563,58 +557,27 @@ class SearchApp:
         entry = self._entry(name)
         k = validated_count(k)
         timeout_s = self.config.clamp_timeout(timeout_s)
-        try:
-            matrix = np.asarray(queries, dtype=np.float64)
-        except (TypeError, ValueError) as error:
-            raise ValidationError(f"queries are not numeric: {error}") from None
-        expected = engine_series_length(entry.engine)
-        if matrix.ndim != 2 or matrix.shape[1] != expected:
-            raise ValidationError(
-                f"queries must be a 2-D matrix of series of length "
-                f"{expected}, got shape {matrix.shape}")
-        if not np.isfinite(matrix).all():
-            raise ValidationError("queries contain NaN or infinite values")
-        engine = entry.engine
-        surviving = int(engine.num_surviving)
-        effective_k = min(k, surviving)
-        if effective_k == 0:
-            empty = {"ids": [], "values": []}
-            return {"results": [dict(empty) for _ in range(matrix.shape[0])],
-                    "stats": [stats_to_payload(SearchStats(num_series=0))
-                              for _ in range(matrix.shape[0])],
-                    "surviving": surviving}
-        results = engine.knn_batch(matrix, k=effective_k, num_workers=1,
-                                   timeout_s=timeout_s)
-        payload = []
-        stats = []
-        for result in results:
-            values = np.asarray(engine.gather_values(result.indices),
-                                dtype=np.float64)
-            payload.append({
-                "ids": [int(row) for row in result.indices],
-                "values": [[float(value) for value in row]
-                           for row in values],
-            })
-            stats.append(stats_to_payload(result.stats))
-            entry.search_stats.add(result.stats)
-            entry.observe_query(result.stats)
-        return {"results": payload, "stats": stats, "surviving": surviving}
+        matrix = validated_queries(queries,
+                                   engine_series_length(entry.engine))
+        ids, values, stats, surviving = shard_answer(
+            entry.engine, matrix, k, timeout_s)
+        for part in stats:
+            entry.observe_query(part)
+        return {"results": [_candidates_payload(rows, block)
+                            for rows, block in zip(ids, values)],
+                "stats": [stats_to_payload(part) for part in stats],
+                "surviving": surviving}
 
     def shard_probe(self, name: str) -> dict:
         """Answer a shard-local 1-NN probe (the cluster readmission check).
 
-        Runs the same probe an in-process
-        :meth:`~repro.index.sharded.ShardedIndex.probe_shard` would — a real
-        1-NN over the shard's own first row — so a passing probe means the
-        worker actually serves, not merely accepts connections.
+        Runs :func:`~repro.index.sharded.shard_probe`, the probe an
+        in-process :meth:`~repro.index.sharded.ShardedIndex.probe_shard`
+        runs, so a passing probe means the worker actually serves, not
+        merely accepts connections.
         """
-        entry = self._entry(name)
-        engine = entry.engine
-        surviving = int(engine.num_surviving)
-        if surviving > 0:
-            probe_query = np.asarray(engine.tree.dataset.values)[0]
-            engine.knn(probe_query, k=1, num_workers=1)
-        return {"ok": True, "surviving": surviving}
+        return {"ok": True,
+                "surviving": shard_probe(self._entry(name).engine)}
 
     def insert(self, name: str, series) -> dict:
         """Buffer one series (1-D) or a batch (2-D) into a writable index."""

@@ -10,7 +10,10 @@ for documented failure modes.  These tests pin that contract:
 * malformed ``k`` / ``timeout_s`` / query inputs raise types from
   :mod:`repro.core.errors` on every entry point;
 * an empty query batch (shape ``(0, l)``) contractually returns ``[]`` on both
-  the static and the dynamic engines.
+  the static and the dynamic engines;
+* ``knn_batch`` handles its input the same way on all five engines
+  (``SofaIndex``, ``MessiIndex``, ``DynamicIndex``, ``ShardedIndex``,
+  ``ClusterIndex``): they share one ``validated_queries``.
 """
 
 from __future__ import annotations
@@ -18,6 +21,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from repro.cluster import ClusterIndex
 from repro.core.errors import (
     InvalidParameterError,
     ReproError,
@@ -27,6 +31,7 @@ from repro.core.errors import (
 from repro.datasets.synthetic import random_walk
 from repro.index.batch_search import BatchSearcher
 from repro.index.messi import MessiIndex
+from repro.index.sharded import ShardedIndex
 from repro.index.sofa import SofaIndex
 
 SERIES_LENGTH = 64
@@ -52,6 +57,36 @@ def dynamic_index():
     dynamic.insert_batch(random_walk(10, SERIES_LENGTH, seed=504))
     dynamic.delete(0)
     return dynamic
+
+
+def _small_sofa():
+    return SofaIndex(word_length=8, alphabet_size=16, leaf_size=10)
+
+
+@pytest.fixture(scope="module")
+def sharded_path(tmp_path_factory):
+    path = tmp_path_factory.mktemp("contract") / "shards"
+    ShardedIndex.build(random_walk(300, SERIES_LENGTH, seed=506), path,
+                       num_shards=2, index_factory=_small_sofa).close()
+    return path
+
+
+@pytest.fixture(scope="module")
+def sharded_index(sharded_path):
+    index = ShardedIndex.load(sharded_path)
+    yield index
+    index.close()
+
+
+@pytest.fixture(scope="module")
+def cluster_index(sharded_path):
+    index = ClusterIndex.launch(sharded_path, start_timeout_s=60.0)
+    yield index
+    index.close()
+
+
+ALL_ENGINES = ["sofa_index", "messi_index", "dynamic_index", "sharded_index",
+               "cluster_index"]
 
 
 @pytest.fixture(scope="module")
@@ -224,3 +259,39 @@ class TestEmptyBatchContract:
             sofa_index.knn_batch(np.empty((0, SERIES_LENGTH + 1)), k=1)
         with pytest.raises(ValidationError):
             sofa_index.knn_batch(np.empty((0, SERIES_LENGTH)), k="1")
+
+
+# ------------------------------------------ knn_batch input, on every engine
+
+
+@pytest.mark.parametrize("index_fixture", ALL_ENGINES)
+class TestBatchInputContract:
+    def test_one_1d_query_is_a_batch_of_one(self, index_fixture, query,
+                                            request):
+        index = request.getfixturevalue(index_fixture)
+        (alone,) = index.knn_batch(query, k=3)
+        (boxed,) = index.knn_batch(query[None, :], k=3)
+        single = index.knn(query, k=3)
+        for result in (alone, boxed):
+            np.testing.assert_array_equal(result.indices, single.indices)
+            np.testing.assert_array_equal(result.distances, single.distances)
+
+    def test_empty_batch_returns_empty_list(self, index_fixture, request):
+        index = request.getfixturevalue(index_fixture)
+        assert index.knn_batch(np.empty((0, SERIES_LENGTH)), k=3) == []
+
+    @pytest.mark.parametrize("bad", [
+        np.full((2, SERIES_LENGTH), np.nan),
+        np.zeros((2, SERIES_LENGTH + 3)),
+        np.zeros(SERIES_LENGTH + 1),
+        np.empty((0, SERIES_LENGTH + 1)),
+        [[1.0, 2.0], [3.0]],
+        None,
+        "not numbers",
+    ], ids=["nan", "wrong-length", "wrong-length-1d", "wrong-length-empty",
+            "ragged", "none", "text"])
+    def test_malformed_batches_raise_validation_error(self, index_fixture,
+                                                      bad, request):
+        index = request.getfixturevalue(index_fixture)
+        with pytest.raises(ValidationError):
+            index.knn_batch(bad, k=1)

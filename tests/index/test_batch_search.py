@@ -124,10 +124,6 @@ class TestApiAndStats:
             batcher.knn_batch(queries.values, k=tree.num_series + 1)
         with pytest.raises(SearchError):
             batcher.knn_batch(np.zeros((2, 3)))
-        with pytest.raises(SearchError):
-            BatchSearcher(tree, group_target=0)
-        with pytest.raises(SearchError):
-            BatchSearcher(tree, flat_block_size=0)
 
     def test_unbuilt_index_rejected(self):
         with pytest.raises(SearchError):

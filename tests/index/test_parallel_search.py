@@ -17,7 +17,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.index.messi import MessiIndex
-from repro.index.search import ExactSearcher, SearchStats, SharedKnnHeap, _KnnHeap
+from repro.index.search import BestSoFar, ExactSearcher, SearchStats
 from repro.index.sofa import SofaIndex
 from repro.index.stats import merge_search_stats
 
@@ -245,7 +245,7 @@ class TestBatchFallback:
 class TestSharedHeapStress:
     def test_concurrent_offers_keep_k_smallest(self):
         """Many threads hammering one shared heap retain exactly the k
-        smallest (distance², row) pairs, as a sequential heap does."""
+        smallest (distance², row) pairs."""
         rng = np.random.default_rng(0)
         k = 16
         num_blocks, block_size = 300, 64
@@ -255,11 +255,7 @@ class TestSharedHeapStress:
         squared = (rng.integers(0, 40, size=(num_blocks, block_size))
                    .astype(np.float64) / 7.0)
 
-        sequential = _KnnHeap(k)
-        for block in range(num_blocks):
-            sequential.offer_block(squared[block], rows[block])
-
-        shared = SharedKnnHeap(k)
+        shared = BestSoFar(k)
         tickets = iter(range(num_blocks))
         lock = threading.Lock()
 
@@ -277,27 +273,8 @@ class TestSharedHeapStress:
         for thread in threads:
             thread.join()
 
-        assert shared.sorted_items() == sequential.sorted_items()
         expected = sorted(zip(squared.ravel(), rows.ravel()))[:k]
         assert shared.sorted_items() == [(d, int(r)) for d, r in expected]
-
-    def test_threshold_only_tightens(self):
-        heap = SharedKnnHeap(2)
-        assert heap.threshold == np.inf
-        heap.offer_block(np.array([4.0, 9.0]), np.array([1, 2]))
-        assert heap.threshold == 9.0
-        heap.offer_block(np.array([25.0]), np.array([3]))  # above: a no-op
-        assert heap.threshold == 9.0
-        heap.offer_block(np.array([1.0]), np.array([4]))
-        assert heap.threshold == 4.0
-
-    def test_tie_at_threshold_still_enters(self):
-        """A candidate at exactly the threshold with a smaller row must
-        displace the larger row — the pre-filter may not drop it."""
-        heap = SharedKnnHeap(1)
-        heap.offer_block(np.array([2.0]), np.array([9]))
-        heap.offer_block(np.array([2.0]), np.array([3]))
-        assert heap.sorted_items() == [(2.0, 3)]
 
 
 class TestStatsMerging:

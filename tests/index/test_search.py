@@ -1,40 +1,106 @@
 """Tests for the exact GEMINI search engine (correctness against brute force)."""
 
+import dataclasses
+import json
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.baselines.serial_scan import SerialScan
 from repro.core.errors import IndexError_, SearchError
 from repro.index.messi import MessiIndex
-from repro.index.search import ExactSearcher, _KnnHeap
+from repro.index.search import (
+    BestSoFar,
+    ExactSearcher,
+    SearchStats,
+    stats_from_payload,
+    stats_to_payload,
+)
 from repro.index.sofa import SofaIndex
 from repro.index.tree import TreeIndex
 from repro.transforms.sax import SAX
 
 
-class TestKnnHeap:
-    def test_threshold_is_infinite_until_full(self):
-        heap = _KnnHeap(3)
-        heap.offer(1.0, 0)
-        heap.offer(2.0, 1)
-        assert heap.threshold == np.inf
-        heap.offer(3.0, 2)
-        assert heap.threshold == 3.0
+_GRID = st.integers(min_value=0, max_value=12).map(lambda step: step / 3.0)
+_FLOOR = st.one_of(st.just(np.inf), _GRID)
 
-    def test_keeps_k_smallest(self):
-        heap = _KnnHeap(2)
-        for distance, index in [(5.0, 0), (1.0, 1), (3.0, 2), (0.5, 3)]:
-            heap.offer(distance, index)
-        items = heap.sorted_items()
-        assert [index for _, index in items] == [3, 1]
-        assert heap.threshold == 1.0
 
-    def test_sorted_items_ascending(self):
-        heap = _KnnHeap(4)
-        for distance in [4.0, 2.0, 3.0, 1.0]:
-            heap.offer(distance, int(distance))
-        distances = [distance for distance, _ in heap.sorted_items()]
-        assert distances == sorted(distances)
+class TestBestSoFar:
+    @given(offers=st.lists(st.tuples(_GRID, st.integers(0, 60)),
+                           unique_by=lambda offer: offer[1], max_size=40),
+           cuts=st.lists(st.integers(0, 40), max_size=6),
+           k=st.integers(1, 6), floor=_FLOOR,
+           parent_k=st.integers(1, 6), parent_floor=_FLOOR,
+           chained=st.booleans())
+    @settings(max_examples=200, deadline=None)
+    def test_retains_the_k_smallest_offers_under_a_capped_threshold(
+            self, offers, cuts, k, floor, parent_k, parent_floor, chained):
+        """For any offer order, block split, floor and parent/row-map the
+        retained set is the k smallest (distance², row) offers — a coarse
+        distance grid forces exact ties, and the floor caps only the
+        published threshold, so every offer at or below it that belongs to
+        the k smallest is retained — the parent retains the same of the
+        translated offers, and no threshold rises."""
+        row_map = np.arange(61)[::-1] + 100  # order-reversing translation
+        parent = BestSoFar(parent_k, floor=parent_floor) if chained else None
+        heap = BestSoFar(k, floor=floor, parent=parent,
+                         row_map=row_map.__getitem__ if chained else None)
+        squared = np.array([distance for distance, _ in offers], dtype=float)
+        rows = np.array([row for _, row in offers], dtype=np.int64)
+        assert heap.threshold == (min(floor, parent_floor) if chained
+                                  else floor)
+        assert not heap.offered
+        heaps = [heap, parent] if chained else [heap]
+        thresholds = [[each.threshold for each in heaps]]
+        edges = sorted({0, len(offers), *(cut for cut in cuts
+                                          if cut < len(offers))})
+        for begin, end in zip(edges, edges[1:]):
+            heap.offer_block(squared[begin:end], rows[begin:end])
+            thresholds.append([each.threshold for each in heaps])
+        assert heap.offered == bool(offers)
+        assert heap.sorted_items() == sorted(offers)[:k]
+        own = min([floor] + [distance for distance, _
+                             in heap.sorted_items()[k - 1:]])
+        if chained:
+            translated = [(distance, int(row_map[row]))
+                          for distance, row in offers]
+            assert parent.sorted_items() == sorted(translated)[:parent_k]
+            assert heap.threshold == min(own, parent.threshold)
+        else:
+            assert heap.threshold == own
+        for before, after in zip(thresholds, thresholds[1:]):
+            assert all(new <= old for new, old in zip(after, before))
+
+
+class TestStatsWire:
+    def test_every_field_round_trips_the_shard_rpc(self):
+        """Iterates the dataclass fields, so a field added later cannot be
+        silently dropped on the wire: every field is set off its default,
+        survives JSON, and comes back equal and of the same type."""
+        samples = {int: 7, float: 0.1 + 0.2, bool: True}
+        stats = SearchStats(**{
+            spec.name: ([0.1 + 0.2, 1e-9] if spec.name == "leaf_times"
+                        else samples[type(spec.default)])
+            for spec in dataclasses.fields(SearchStats)})
+        payload = stats_to_payload(stats)
+        assert set(payload) == {spec.name
+                                for spec in dataclasses.fields(SearchStats)}
+        restored = stats_from_payload(json.loads(json.dumps(payload)))
+        assert restored == stats
+        for spec in dataclasses.fields(SearchStats):
+            assert type(getattr(restored, spec.name)) \
+                is type(getattr(stats, spec.name))
+            assert getattr(stats, spec.name) != getattr(SearchStats(),
+                                                        spec.name)
+
+    def test_numpy_scalars_become_plain_json_types(self):
+        stats = SearchStats(num_series=np.int64(3),
+                            traversal_time=np.float64(0.25),
+                            leaf_times=[np.float64(0.5)])
+        assert json.loads(json.dumps(stats_to_payload(stats)))[
+            "num_series"] == 3
 
 
 class TestSearcherValidation:

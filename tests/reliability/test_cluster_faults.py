@@ -150,6 +150,60 @@ class TestHealthyIdentity:
             cluster.close()
             built.close()
 
+    def test_cross_shard_ties_survive_a_forwarded_threshold(self, tmp_path,
+                                                            base_rows):
+        """Shard 1 holds a copy of every shard-0 row and answers first, so
+        shard 0's worker searches under a forwarded threshold equal to the
+        canonical distance of its own best row — the tie the smaller global
+        id must win, even when the worker's refinement-time distance for
+        that row sits an ulp above the bound."""
+        half = base_rows[:60]
+        path = tmp_path / "duplicated"
+        built = ShardedIndex.build(np.vstack([half, half]), path,
+                                   num_shards=2, index_factory=_factory)
+        cluster = _launch(path)
+        first, second = (shard.remote for shard in cluster._shards)
+        answered = threading.Event()
+
+        class AskedAfter:
+            """Shard 0's client, held back until shard 1 has answered."""
+
+            def __getattr__(self, name):
+                return getattr(first, name)
+
+            def answer(self, *args):
+                assert answered.wait(30.0)
+                return first.answer(*args)
+
+        class Announces:
+            def __getattr__(self, name):
+                return getattr(second, name)
+
+            def answer(self, *args):
+                try:
+                    return second.answer(*args)
+                finally:
+                    answered.set()
+
+        cluster._shards[0].remote = AskedAfter()
+        cluster._shards[1].remote = Announces()
+        noise = np.random.default_rng(8805).normal(scale=0.1,
+                                                   size=half.shape)
+        try:
+            for k in (1, 3):
+                for query in half + noise:
+                    answered.clear()
+                    local = built.knn(query, k=k)
+                    remote = cluster.knn(query, k=k)
+                    np.testing.assert_array_equal(remote.indices,
+                                                  local.indices)
+                    np.testing.assert_array_equal(remote.distances,
+                                                  local.distances)
+                    assert remote.indices[0] < 60, "the lower id wins the tie"
+        finally:
+            cluster.close()
+            built.close()
+
     def test_cluster_is_read_only(self, snapshot, base_rows):
         cluster = _launch(snapshot)
         try:

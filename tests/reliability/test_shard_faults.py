@@ -119,6 +119,49 @@ class TestTransientRetries:
         assert flaky.calls == len(queries) + 2
         assert sharded.shard_states()[1] == HEALTHY
 
+    def test_failure_after_offering_then_retry_stays_exact(self, tmp_path):
+        """A shard attempt that dies *after* its search offered candidates to
+        the cross-shard best-so-far, then succeeds on retry, offers the same
+        rows twice: k=2 slots both hold the query's own row, the bound
+        collapses to 0, and the other shard's true neighbour would be pruned
+        — unless the gather re-scatters with a fresh heap."""
+        base = _rows(60, seed=8803)
+        noise = np.random.default_rng(8804).normal(scale=0.05, size=base.shape)
+        rows = np.vstack([base, base + noise])  # row i's neighbour: 60 + i
+
+        class SearchThenFailOnce:
+            def __init__(self, engine):
+                self._engine, self.failed = engine, False
+
+            def __getattr__(self, name):
+                return getattr(self._engine, name)
+
+            def knn(self, *args, **kwargs):
+                result = self._engine.knn(*args, **kwargs)
+                if not self.failed:
+                    self.failed = True
+                    raise RuntimeError("died after searching")
+                return result
+
+        index = ShardedIndex.build(
+            rows, tmp_path / "shards", num_shards=2, index_factory=_factory,
+            retry=RetryPolicy(max_attempts=3, backoff_base_s=0.001,
+                              backoff_cap_s=0.002),
+            health=HealthPolicy(quarantine_after=5, auto_probe=False))
+        try:
+            for row in range(10):
+                index._shards[0].engine = SearchThenFailOnce(
+                    index._engine(index._shards[0]))
+                # The healthy shard searches after the doubled offers landed.
+                _wrap_shard(index, 1, hang_s=0.03)
+                result = index.knn(rows[row], k=2)
+                assert result.indices.tolist() == [row, 60 + row]
+                assert result.stats.partial is False
+                for shard in index._shards:
+                    shard.engine = shard.engine._engine
+        finally:
+            index.close()
+
     def test_retry_exhaustion_degrades_bit_identically(self, sharded,
                                                        base_rows, queries):
         """A shard failing past its retry budget is excluded; the answer is
