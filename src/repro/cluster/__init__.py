@@ -12,9 +12,9 @@ heartbeat-based hang detection.
 
 * :class:`ClusterIndex` — the coordinator: a ``ShardedIndex`` whose shards
   carry RPC clients; same attempt path, bit-identical answers.
-* :class:`RemoteShardClient` — per-shard HTTP client with the in-process
-  failure taxonomy (transport → transient, ``CorruptionError`` payloads →
-  persistent).
+* :class:`RemoteShardClient` — per-shard HTTP client on one keep-alive
+  connection, with the in-process failure taxonomy (transport → transient,
+  ``CorruptionError`` payloads → persistent).
 * :class:`ShardSupervisor` — spawn/heartbeat/restart/breaker state machine;
   policy knobs live on :class:`~repro.index.shard_health.SupervisorPolicy`.
 """

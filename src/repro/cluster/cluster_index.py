@@ -17,10 +17,12 @@ Identity contract (now across a process boundary):
 
 * **Healthy cluster** — answers are bit-identical to the in-process
   :class:`~repro.index.sharded.ShardedIndex` over the same snapshot, which
-  is itself bit-identical to one unsharded index over the same rows.  The
-  merge recomputes candidate distances from raw values on the coordinator;
-  values travel as JSON numbers whose ``repr`` round-trips float64 exactly,
-  so the recomputation sees the same bits it would in process.
+  is itself bit-identical to one unsharded index over the same rows.  A
+  worker answers with shard-local ids and the canonical distances² it
+  computed with the coordinator's normalization — the very numbers an
+  in-process shard hands the merge; they travel as JSON numbers whose
+  ``repr`` round-trips float64 exactly, and the series never leave the
+  worker.
 * **Degraded cluster** — with ``degraded="allow"``, answers during a worker
   outage are bit-identical to an index over the surviving shards' rows,
   flagged ``partial=True`` with ``coverage < 1``.
@@ -113,6 +115,9 @@ class ClusterIndex(ShardedIndex):
             "written by the in-process index that built them")
 
     def close(self) -> None:
-        """Stop the probe loop and scatter pool, then the worker fleet."""
+        """Stop the probe loop and scatter pool, close the shard clients'
+        keep-alive connections, then stop the worker fleet."""
         super().close()
+        for shard in self._shards:
+            shard.remote.close()
         self.supervisor.stop()

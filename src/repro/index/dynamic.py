@@ -524,8 +524,9 @@ class DynamicIndex:
 
         Resolves base rows against the tree's dataset and delta rows against
         the append buffer — the same gather the search engines finalize with,
-        exposed so the sharded scatter-gather can recompute merged distances
-        canonically.  Safe against concurrent inserts (append-only buffers);
+        exposed so a shard can report its candidates' canonical distances
+        (:func:`~repro.index.sharded.shard_answer`).  Safe against
+        concurrent inserts (append-only buffers);
         callers racing a compaction must re-validate their row ids.
         """
         state = self._state

@@ -266,19 +266,18 @@ def canonical_squared(query: np.ndarray, values: np.ndarray) -> np.ndarray:
     return np.einsum("ij,ij->i", difference, difference)
 
 
-def ranked_result(query: np.ndarray, rows: np.ndarray, values: np.ndarray,
-                  stats: SearchStats, k: "int | None" = None
-                  ) -> SearchResult:
-    """The ``k`` best of candidate ``rows`` (ascending) and their ``values``.
+def ranked_result(rows: np.ndarray, squared: np.ndarray, stats: SearchStats,
+                  k: "int | None" = None) -> SearchResult:
+    """The ``k`` best of candidate ``rows`` by their canonical ``squared``.
 
-    The one canonical finalization: distances are recomputed with
-    :func:`canonical_squared` and answers sorted by (distance, row), the
-    same tie order as the refinement heap.  :func:`finalize_result` calls it
-    on one index's winners, the sharded gather on the union of the shards'
-    candidates — so selecting the top ``k`` of the union *is* the unsharded
-    finalization.
+    The one canonical ranking: answers sorted by (distance², row), the same
+    tie order as the refinement heap, over distances computed by
+    :func:`canonical_squared`.  :func:`finalize_result` calls it on one
+    index's winners, the sharded gather on the union of the distances the
+    shards computed for their candidates — per-row distances do not depend
+    on the other rows, so selecting the top ``k`` of the union *is* the
+    unsharded finalization.
     """
-    squared = canonical_squared(query, values)
     order = np.lexsort((rows, squared))[:k]
     return SearchResult(indices=rows[order], distances=np.sqrt(squared[order]),
                         stats=stats)
@@ -301,7 +300,7 @@ def finalize_result(query: np.ndarray, values: np.ndarray, rows: np.ndarray,
     """
     rows = np.sort(np.asarray(rows, dtype=np.int64))
     winners = values[rows] if delta is None else delta.gather(values, rows)
-    return ranked_result(query, rows, winners, stats)
+    return ranked_result(rows, canonical_squared(query, winners), stats)
 
 
 class BestSoFar:

@@ -10,12 +10,14 @@ total order.  The design goals, in order:
 * **Bit-identity when healthy.**  With every shard answering, ``knn`` /
   ``knn_batch`` return exactly what one unsharded index over the same rows
   returns — same ids, same distances, same tie order.  The merge never
-  trusts refinement-time distances: it ranks the candidate union through
-  :func:`~repro.index.search.ranked_result`, the very function
-  :func:`~repro.index.search.finalize_result` packages one index's winners
-  with (per-row results are independent of which other rows sit in the
-  matrix), so selecting the top ``k`` of the union *is* the unsharded
-  finalization.
+  trusts refinement-time distances: every shard reports its candidates'
+  :func:`~repro.index.search.canonical_squared` distances to the query
+  normalized exactly as the unsharded engine finalizes with, and the gather
+  ranks the union through :func:`~repro.index.search.ranked_result`, the
+  very function :func:`~repro.index.search.finalize_result` packages one
+  index's winners with (a row's canonical distance does not depend on which
+  other rows sit in the matrix), so selecting the top ``k`` of the union
+  *is* the unsharded finalization.  Candidate values never leave the shard.
 * **Cross-shard pruning.**  Single-query ``knn`` searches every shard on a
   :class:`~repro.index.search.BestSoFar` whose parent is one shared
   cross-shard heap: one shard's tightened best-so-far prunes every other
@@ -85,6 +87,7 @@ from repro.index.search import (
     BestSoFar,
     SearchResult,
     SearchStats,
+    canonical_squared,
     ranked_result,
     resolve_deadline,
     validated_count,
@@ -188,9 +191,13 @@ def shard_answer(engine, queries: np.ndarray, k: int,
     :class:`~repro.index.search.BestSoFar`, floored or parented as the
     deployment needs); a 2-D one goes to the batched engine, which keeps its
     own schedule (no cross-shard best-so-far).  ``k`` is clamped to the
-    shard's surviving rows.  Returns ``(ids, values, stats, surviving)``
+    shard's surviving rows.  Returns ``(ids, squared, stats, surviving)``
     with one entry per query in the first three: shard-local candidate ids,
-    their raw served values, and the search stats.
+    their :func:`~repro.index.search.canonical_squared` distances, and the
+    search stats.  The distances are taken to the query normalized the way
+    one unsharded index finalizes it (``znormalize`` for one query,
+    ``znormalize_batch`` for a matrix), so the gather ranks them as they
+    are — the candidates' values stay with the shard.
     """
     single = queries.ndim == 1
     surviving = int(engine.num_surviving)
@@ -198,17 +205,20 @@ def shard_answer(engine, queries: np.ndarray, k: int,
     if effective_k == 0:
         count = 1 if single else queries.shape[0]
         return ([np.empty(0, dtype=np.int64)] * count,
-                [np.empty((0, queries.shape[-1]))] * count,
+                [np.empty(0)] * count,
                 [SearchStats(num_series=0) for _ in range(count)], surviving)
     if single:
         results = [engine.knn(queries, k=effective_k, num_workers=1,
                               timeout_s=timeout_s, shared_best=best)]
+        normalized = znormalize(queries)[None, :]
     else:
         results = engine.knn_batch(queries, k=effective_k, num_workers=1,
                                    timeout_s=timeout_s)
+        normalized = znormalize_batch(queries)
     ids = [result.indices for result in results]
-    values = [engine.gather_values(rows) for rows in ids]
-    return ids, values, [result.stats for result in results], surviving
+    squared = [canonical_squared(query, engine.gather_values(rows))
+               for query, rows in zip(normalized, ids)]
+    return ids, squared, [result.stats for result in results], surviving
 
 
 def shard_probe(engine) -> int:
@@ -660,8 +670,9 @@ class ShardedIndex:
         query = validated_query(query, self._series_length)
         deadline = resolve_deadline(timeout_s)
         mode = self._degraded_mode(degraded)
-        query_normalized = znormalize(query)
         if trace is not None:
+            # Query validation; each shard z-normalizes for its own
+            # canonical distances (see shard_answer).
             trace.add_phase("normalize", time.perf_counter() - wall_start)
             scatter_start = time.perf_counter()
         outcomes: "list[_Outcome]" = []
@@ -699,7 +710,7 @@ class ShardedIndex:
                     else 0.0,
                     answered=int(outcome.answered))
             merge_start = time.perf_counter()
-        result = self._gather(query_normalized[None, :], k, outcomes, mode)[0]
+        result = self._gather(k, outcomes, mode)[0]
         if trace is not None:
             trace.add_phase("merge", time.perf_counter() - merge_start,
                             candidates=int(result.indices.size))
@@ -726,8 +737,8 @@ class ShardedIndex:
         same tuple over RPC).
 
         The seqlock dance: capture the shard's (even) version, run the
-        query, and retry if a compaction moved it — the id translation and
-        gathered values must come from one consistent generation.
+        query, and retry if a compaction moved it — the id translation must
+        come from the generation the shard answered from.
         """
         remote = shard.remote
         ask = remote.answer if remote is not None \
@@ -747,18 +758,19 @@ class ShardedIndex:
                 best = BestSoFar(k, parent=global_best,
                                  row_map=lambda rows: shard.globals_map[rows])
                 heaps[shard.index].append(best)
-            ids, values, stats, surviving = ask(queries, k, timeout_s, best)
+            ids, squared, stats, surviving = ask(queries, k, timeout_s, best)
             globals_map = shard.globals_map
             if shard.version != version:
                 continue
             # Exact surviving-row bookkeeping even while the engine lives
             # elsewhere: num_surviving sums these hints.
             shard.num_surviving_hint = surviving
-            return ([(globals_map[rows], block)
-                     for rows, block in zip(ids, values)], stats, surviving)
+            return ([(globals_map[rows], distances)
+                     for rows, distances in zip(ids, squared)],
+                    stats, surviving)
 
-    def _gather(self, normalized: np.ndarray, k: int,
-                outcomes: "list[_Outcome]", mode: str) -> "list[SearchResult]":
+    def _gather(self, k: int, outcomes: "list[_Outcome]",
+                mode: str) -> "list[SearchResult]":
         """Merge per-shard candidates into one canonical answer per query."""
         answered = [o for o in outcomes if o.answered]
         total = len(outcomes)
@@ -771,19 +783,16 @@ class ShardedIndex:
                 f"k={k} exceeds the number of surviving series "
                 f"({surviving_total})")
         results = []
-        for position, query in enumerate(normalized):
-            rows = np.concatenate([o.payload[position][0] for o in answered])
-            values = np.concatenate([o.payload[position][1] for o in answered],
-                                    axis=0)
+        for position, parts in enumerate(zip(*(o.payload for o in answered))):
             stats = self._merged_stats([o.stats[position] for o in answered],
                                        surviving_total, total, len(answered))
             # Per-row canonical distances are independent of the other rows
             # in the matrix, so the top k of the union are exactly
             # finalize_result's output for one index over the union — the
             # bit-identity argument.
-            order = np.argsort(rows)
-            results.append(ranked_result(query, rows[order], values[order],
-                                         stats, k))
+            results.append(ranked_result(
+                np.concatenate([rows for rows, _ in parts]),
+                np.concatenate([squared for _, squared in parts]), stats, k))
         return results
 
     def knn_batch(self, queries, k: int = 1, num_workers: "int | None" = None,
@@ -804,7 +813,7 @@ class ShardedIndex:
             return []
         outcomes = self._scatter(
             functools.partial(self._attempt, queries=matrix, k=k), deadline)
-        results = self._gather(znormalize_batch(matrix), k, outcomes, mode)
+        results = self._gather(k, outcomes, mode)
         # Every result carries the batch's caller-observed wall time, the
         # same convention as BatchSearcher.knn_batch.
         wall_time = time.perf_counter() - wall_start

@@ -36,13 +36,11 @@ from repro.core.errors import (
     UnknownIndexError,
     ValidationError,
 )
-from repro.core.normalization import znormalize
 from repro.index.dynamic import DynamicIndex
 from repro.index.search import (
     BestSoFar,
     SearchResult,
     SearchStats,
-    canonical_squared,
     stats_to_payload,
     validated_count,
     validated_queries,
@@ -221,10 +219,10 @@ class ServedIndex:
         return info
 
 
-def _candidates_payload(ids: np.ndarray, values: np.ndarray) -> dict:
-    """JSON form of one query's shard candidates (local ids + raw values)."""
-    return {"ids": [int(row) for row in ids],
-            "values": [[float(value) for value in row] for row in values]}
+def _candidates_payload(ids: np.ndarray, squared: np.ndarray) -> dict:
+    """JSON form of one query's shard candidates: local ids and their
+    canonical distances² (``repr`` round-trips the float64 bits)."""
+    return {"ids": ids.tolist(), "squared": squared.tolist()}
 
 
 class SearchApp:
@@ -526,22 +524,20 @@ class SearchApp:
         JSON-encodes :func:`~repro.index.sharded.shard_answer` — the very
         function an in-process scatter attempt calls — searched under the
         coordinator's forwarded best-so-far ``threshold`` as a frozen
-        pruning floor: shard-*local* candidate ids, their raw normalized
-        values, and canonical squared distances (so the offers the
-        coordinator makes to its live heap carry the bits its merge
-        recomputes).
+        pruning floor: shard-*local* candidate ids and their canonical
+        squared distances, computed here with the coordinator's
+        normalization, so the coordinator ranks (and offers to its live
+        heap) the very bits an in-process shard would hand it.
         """
         entry = self._entry(name)
         k = validated_count(k)
         timeout_s = self.config.clamp_timeout(timeout_s)
         query = validated_query(query, engine_series_length(entry.engine))
         best = BestSoFar(k, floor=threshold) if threshold is not None else None
-        ids, values, stats, surviving = shard_answer(
+        ids, squared, stats, surviving = shard_answer(
             entry.engine, query, k, timeout_s, best)
         entry.observe_query(stats[0])
-        squared = canonical_squared(znormalize(query), values[0])
-        return {**_candidates_payload(ids[0], values[0]),
-                "squared": [float(value) for value in squared],
+        return {**_candidates_payload(ids[0], squared[0]),
                 "stats": stats_to_payload(stats[0]),
                 "surviving": surviving}
 
@@ -551,20 +547,21 @@ class SearchApp:
         query matrix, JSON-encoded.
 
         No cross-shard best-so-far (matching the in-process batched
-        scatter); every query's candidates come back with raw values for
-        the coordinator's canonical per-query merge.
+        scatter); every query's candidates come back as the same
+        ``{"ids", "squared"}`` entry :meth:`shard_knn` returns, ready for
+        the coordinator's per-query ranking.
         """
         entry = self._entry(name)
         k = validated_count(k)
         timeout_s = self.config.clamp_timeout(timeout_s)
         matrix = validated_queries(queries,
                                    engine_series_length(entry.engine))
-        ids, values, stats, surviving = shard_answer(
+        ids, squared, stats, surviving = shard_answer(
             entry.engine, matrix, k, timeout_s)
         for part in stats:
             entry.observe_query(part)
-        return {"results": [_candidates_payload(rows, block)
-                            for rows, block in zip(ids, values)],
+        return {"results": [_candidates_payload(rows, distances)
+                            for rows, distances in zip(ids, squared)],
                 "stats": [stats_to_payload(part) for part in stats],
                 "surviving": surviving}
 

@@ -14,6 +14,8 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core.errors import (
     IndexError_,
@@ -22,10 +24,12 @@ from repro.core.errors import (
     SearchError,
     ValidationError,
 )
+from repro.core.normalization import znormalize, znormalize_batch
 from repro.datasets.synthetic import random_walk
 from repro.index.dynamic import DynamicIndex
+from repro.index.search import canonical_squared
 from repro.index.shard_health import HealthPolicy
-from repro.index.sharded import ShardedIndex
+from repro.index.sharded import ShardedIndex, shard_answer
 from repro.index.sofa import SofaIndex
 
 SERIES_LENGTH = 48
@@ -113,6 +117,64 @@ class TestHealthyBitIdentity:
                                     baseline)
         finally:
             sharded.close()
+
+
+class TestShardSideDistances:
+    """The precondition of a values-free merge: the canonical distances² a
+    shard computes for its own candidates (:func:`shard_answer`) are, bit
+    for bit, what a coordinator recomputing them from the gathered values of
+    the whole candidate union would get."""
+
+    @settings(max_examples=25, deadline=None)
+    @given(length=st.sampled_from([17, 33, 48, 63]),
+           shard_sizes=st.lists(st.integers(4, 30), min_size=2, max_size=4),
+           deltas=st.lists(st.integers(0, 6), min_size=4, max_size=4),
+           duplicates=st.integers(0, 4), k=st.integers(1, 12),
+           pad=st.integers(0, 9), batch=st.booleans(),
+           seed=st.integers(0, 10_000))
+    def test_shard_squared_equals_coordinator_recompute(
+            self, length, shard_sizes, deltas, duplicates, k, pad, batch,
+            seed):
+        rng = np.random.default_rng(seed)
+        engines, offsets = [], []
+        first = None
+        for shard, size in enumerate(shard_sizes):
+            rows = random_walk(size, length, seed=seed + shard)
+            if first is None:
+                first = rows
+            else:  # exact duplicates of shard-0 rows: cross-shard ties
+                rows[:duplicates] = first[:duplicates]
+            engine = SofaIndex(word_length=8, alphabet_size=16,
+                               leaf_size=6).build(rows).dynamic()
+            if deltas[shard]:
+                engine.insert_batch(random_walk(deltas[shard], length,
+                                                seed=seed + 100 + shard))
+            offsets.append(sum(e.num_base + e.delta_count for e in engines))
+            engines.append(engine)
+        queries = random_walk(3, length, seed=seed + 200)
+        if batch:
+            asked, normalized = queries, znormalize_batch(queries)
+        else:
+            asked, normalized = queries[0], znormalize(queries[0])[None, :]
+        answers = [shard_answer(engine, asked, k) for engine in engines]
+        for position, query in enumerate(normalized):
+            rows = np.concatenate([answer[0][position] + offset
+                                   for answer, offset in zip(answers, offsets)])
+            squared = np.concatenate([answer[1][position]
+                                      for answer in answers])
+            values = np.concatenate(
+                [engine.gather_values(answer[0][position])
+                 for engine, answer in zip(engines, answers)], axis=0)
+            # What the coordinator used to rank: one recompute over the
+            # row-sorted union, here behind `pad` unrelated rows so the
+            # candidates sit at other offsets of a differently sized matrix.
+            order = np.argsort(rows)
+            union = np.concatenate([rng.normal(size=(pad, length)),
+                                    values[order]], axis=0)
+            recomputed = canonical_squared(query, union)[pad:]
+            assert np.array_equal(squared[order], recomputed)
+        for engine in engines:
+            engine.close()
 
 
 class TestMutationsAndGlobalIds:

@@ -17,25 +17,40 @@ The cluster contract under test (see :mod:`repro.cluster`):
   breaker after exactly ``crash_loop_threshold`` rapid crashes and the
   coordinator quarantines the shard via the ``on_crash_loop`` callback;
 * the cluster is **read-only**: writes raise typed errors instead of
-  desyncing the coordinator's global id maps.
+  desyncing the coordinator's global id maps;
+* **keep-alive** — each shard client holds one persistent connection: a
+  worker killed while it sits idle costs a retried attempt, not a wrong or
+  untyped answer; a reused connection honours each call's own deadline;
+  ``close`` leaves no socket open; an idle connection never holds up a
+  worker's SIGTERM drain; a malformed worker answer is a typed
+  ``ShardError``.
 """
 
 from __future__ import annotations
 
+import json
 import os
 import signal
 import threading
 import time
+from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
 import numpy as np
 import pytest
 
-from repro.cluster import ClusterIndex, ShardSupervisor, SupervisorPolicy
-from repro.core.errors import ReadOnlyIndexError, ReproError
+import repro.cluster.client as client_module
+from repro.cluster import (
+    ClusterIndex,
+    RemoteShardClient,
+    ShardSupervisor,
+    SupervisorPolicy,
+)
+from repro.core.errors import ReadOnlyIndexError, ReproError, ShardError
 from repro.datasets.synthetic import random_walk
 from repro.index.shard_health import HealthPolicy, RetryPolicy
 from repro.index.sharded import ShardedIndex
 from repro.index.sofa import SofaIndex
+from repro.serve.config import ServeConfig
 
 SERIES_LENGTH = 40
 NUM_SHARDS = 4
@@ -336,6 +351,189 @@ class TestKill9:
             assert report["restarts"] == 0
         finally:
             cluster.close()
+
+
+@pytest.fixture()
+def opened_connections(monkeypatch) -> "list":
+    """Every connection the shard clients dial, through the module-level
+    ``HTTPConnection`` name the clients always construct from."""
+    opened = []
+
+    class Recording(client_module.HTTPConnection):
+        def __init__(self, *args, **kwargs) -> None:
+            super().__init__(*args, **kwargs)
+            opened.append(self)
+
+    monkeypatch.setattr(client_module, "HTTPConnection", Recording)
+    return opened
+
+
+class _StubWorker:
+    """A shard worker and supervisor stand-in: answers every RPC with one
+    fixed JSON payload and resolves its own endpoint."""
+
+    index_name = "shard"
+
+    def __init__(self, payload: dict) -> None:
+        body = json.dumps(payload).encode("utf-8")
+
+        class Handler(BaseHTTPRequestHandler):
+            protocol_version = "HTTP/1.1"
+
+            def do_POST(self) -> None:  # noqa: N802 - stdlib naming
+                self.rfile.read(int(self.headers["Content-Length"]))
+                self.send_response(200)
+                self.send_header("Content-Type", "application/json")
+                self.send_header("Content-Length", str(len(body)))
+                self.end_headers()
+                self.wfile.write(body)
+
+            def log_message(self, *args) -> None:
+                pass
+
+        self._server = ThreadingHTTPServer(("127.0.0.1", 0), Handler)
+        self._server.daemon_threads = True
+        self._thread = threading.Thread(target=self._server.serve_forever,
+                                        daemon=True)
+        self._thread.start()
+
+    def endpoint(self, shard: int) -> "tuple[str, int]":
+        return self._server.server_address[:2]
+
+    def close(self) -> None:
+        self._server.shutdown()
+        self._server.server_close()
+        self._thread.join(timeout=5.0)
+        assert not self._thread.is_alive()
+
+
+class TestKeepAlive:
+    def test_kill9_between_two_queries_answers_exactly(self, snapshot,
+                                                       base_rows, queries):
+        """The first query leaves every client an idle connection; the
+        victim's goes stale under kill -9.  The next queries answer without
+        an error — degraded answers equal the survivors' index, full ones
+        the in-process index — and full coverage comes back."""
+        victim = 1
+        built = ShardedIndex.load(snapshot)
+        cluster = _launch(snapshot)
+        try:
+            cluster.knn(queries[0], k=5, timeout_s=10.0)
+            os.kill(_worker_pid(cluster, victim), signal.SIGKILL)
+            survivors, global_ids = _survivor_reference(base_rows, {victim})
+            for query in queries:
+                result = cluster.knn(query, k=5, timeout_s=10.0)
+                if result.stats.partial:
+                    expected = survivors.knn(query, k=5)
+                    np.testing.assert_array_equal(
+                        result.indices, global_ids[expected.indices])
+                else:
+                    expected = built.knn(query, k=5)
+                    np.testing.assert_array_equal(result.indices,
+                                                  expected.indices)
+                np.testing.assert_array_equal(result.distances,
+                                              expected.distances)
+            _wait_until(
+                lambda: not cluster.knn(queries[0], k=5,
+                                        timeout_s=10.0).stats.partial,
+                message="coverage restored after kill -9")
+            for query in queries:
+                result = cluster.knn(query, k=5, timeout_s=10.0)
+                expected = built.knn(query, k=5)
+                np.testing.assert_array_equal(result.indices,
+                                              expected.indices)
+                np.testing.assert_array_equal(result.distances,
+                                              expected.distances)
+        finally:
+            cluster.close()
+            built.close()
+
+    def test_reused_connection_honours_a_shorter_deadline(
+            self, snapshot, queries, opened_connections):
+        # Slow heartbeats: the supervisor must not kill the stopped worker.
+        cluster = _launch(snapshot,
+                          policy=_fast_policy(heartbeat_interval_s=30.0))
+        remote = cluster._shards[0].remote
+        pid = _worker_pid(cluster, 0)
+        try:
+            remote.answer(queries[0], 3, None)  # dials with the 30 s default
+            assert len(opened_connections) == 1
+            os.kill(pid, signal.SIGSTOP)
+            try:
+                started = time.monotonic()
+                with pytest.raises(TimeoutError):
+                    remote.answer(queries[0], 3, 0.2)
+                elapsed = time.monotonic() - started
+            finally:
+                os.kill(pid, signal.SIGCONT)
+            assert len(opened_connections) == 1, "the connection was reused"
+            assert elapsed < 2.0, elapsed
+            # The timed-out connection was dropped; the next call re-dials.
+            remote.answer(queries[0], 3, None)
+            assert len(opened_connections) == 2
+        finally:
+            cluster.close()
+
+    def test_close_leaves_no_client_socket_open(self, snapshot, queries,
+                                                opened_connections):
+        cluster = _launch(snapshot)
+        try:
+            cluster.knn(queries[0], k=3)
+            cluster.knn_batch(queries, k=3)
+            assert any(connection.sock is not None
+                       for connection in opened_connections), \
+                "queries leave kept-alive connections behind"
+        finally:
+            cluster.close()
+        assert opened_connections
+        assert all(connection.sock is None
+                   for connection in opened_connections)
+
+    def test_sigterm_drains_despite_an_idle_coordinator_connection(
+            self, snapshot, queries):
+        victim = 2
+        cluster = _launch(snapshot)
+        try:
+            cluster.knn(queries[0], k=3)  # every client keeps a connection
+            first_pid = _worker_pid(cluster, victim)
+            os.kill(first_pid, signal.SIGTERM)
+            _wait_until(
+                lambda: cluster.supervisor.report()[victim]["pid"]
+                != first_pid,
+                timeout_s=ServeConfig().shutdown_drain_s,
+                message="worker exited within shutdown_drain_s")
+            # Exit 0: a clean stop charges neither breaker nor ladder.
+            report = cluster.supervisor.report()[victim]
+            assert report["restarts"] == 0
+            assert report["breaker_tripped"] is False
+            _wait_until(
+                lambda: not cluster.knn(queries[0], k=3,
+                                        timeout_s=10.0).stats.partial,
+                message="coverage restored after SIGTERM restart")
+        finally:
+            cluster.close()
+
+    @pytest.mark.parametrize("payload, queries_shape, k", [
+        ({"ids": [1, 2, 3], "squared": [0.5, 0.7], "stats": {},
+          "surviving": 30}, (SERIES_LENGTH,), 3),
+        ({"ids": [1, 2, 3], "squared": [0.5, 0.6, 0.7], "stats": {},
+          "surviving": 30}, (SERIES_LENGTH,), 2),
+        ({"results": [{"ids": [4], "squared": [0.1, 0.2]}], "stats": [{}],
+          "surviving": 30}, (1, SERIES_LENGTH), 3),
+        ({"results": [{"ids": [4, 5], "squared": "far"}], "stats": [{}],
+          "surviving": 30}, (1, SERIES_LENGTH), 3),
+    ], ids=["lengths-differ", "more-than-k", "batch-lengths-differ",
+            "not-numbers"])
+    def test_malformed_worker_answer_is_a_typed_shard_error(
+            self, payload, queries_shape, k):
+        stub = _StubWorker(payload)
+        client = RemoteShardClient(3, stub)
+        try:
+            with pytest.raises(ShardError, match="shard 3"):
+                client.answer(np.zeros(queries_shape), k, 5.0)
+        finally:
+            client.close()
+            stub.close()
 
 
 class TestCrashLoop:
