@@ -63,6 +63,10 @@ _SUPERVISOR_HEARTBEAT_SECONDS = _REGISTRY.histogram(
     "repro_supervisor_heartbeat_seconds",
     "Latency of successful worker heartbeat probes.",
     labelnames=("shard",))
+_SUPERVISOR_MONITOR_ERRORS = _REGISTRY.counter(
+    "repro_supervisor_monitor_errors_total",
+    "Errors the monitor loop caught and survived (e.g. a failed respawn).",
+    labelnames=("shard",))
 
 
 class _Worker:
@@ -208,9 +212,16 @@ class ShardSupervisor:
         env = dict(os.environ)
         env["PYTHONPATH"] = src_root + (
             os.pathsep + env["PYTHONPATH"] if env.get("PYTHONPATH") else "")
-        worker.process = subprocess.Popen(
-            argv, env=env, stdout=subprocess.DEVNULL,
-            stderr=subprocess.DEVNULL, stdin=subprocess.DEVNULL)
+        try:
+            worker.process = subprocess.Popen(
+                argv, env=env, stdout=subprocess.DEVNULL,
+                stderr=subprocess.DEVNULL, stdin=subprocess.DEVNULL)
+        except BaseException:
+            # Re-arm the restart, or a worker with neither a process nor a
+            # restart time would never be respawned.
+            worker.restart_at = time.monotonic() + self.policy.restart_delay_s(
+                worker.restart_count, worker.shard)
+            raise
         if worker.spawned_once:
             _SUPERVISOR_RESTARTS.labels(shard=str(worker.shard)).inc()
         worker.spawned_once = True
@@ -229,7 +240,8 @@ class ShardSupervisor:
                 try:
                     self._tick(worker, now)
                 except Exception:  # noqa: BLE001 — supervision must survive
-                    pass
+                    _SUPERVISOR_MONITOR_ERRORS.labels(
+                        shard=str(worker.shard)).inc()
 
     def _tick(self, worker: _Worker, now: float) -> None:
         with self._lock:

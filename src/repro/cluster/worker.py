@@ -18,7 +18,9 @@ incarnation.
 Exit discipline — the supervisor classifies by exit code:
 
 * SIGTERM / SIGINT → drain in-flight requests, exit **0** (a deliberate
-  stop; restarted without charging the crash-loop breaker),
+  stop; restarted without charging the crash-loop breaker).  The listener
+  answers ``/readyz`` 503 until the process is gone, so heartbeats never
+  see a draining worker as hung,
 * a load failure or crash → traceback on stderr, exit **1** (a crash; the
   breaker and restart backoff apply),
 * SIGKILL → no handler runs, the supervisor sees the signal death directly.
@@ -96,7 +98,11 @@ def main(argv: "list[str] | None" = None) -> int:
         })
         triggered.wait()
     finally:
-        server.stop()
+        # Drain, but leave the listener to the process exit: interpreter
+        # teardown can take ~0.1 s, and a closed listener in that window would
+        # turn the supervisor's heartbeats into misses and the clean stop
+        # into a "hung" kill.
+        server.drain()
     return 0
 
 

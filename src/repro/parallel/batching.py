@@ -15,6 +15,13 @@ Under load the queue naturally fills while the previous batch is being
 processed, so the window wait only matters at low concurrency — the classic
 micro-batching latency/throughput trade.
 
+The window is load-adaptive when the owner knows how many submitters could
+still join: ``callers()`` returns that bound (the HTTP server's open
+connections, each of which carries at most one request at a time), and the
+drainer closes the window as soon as that many items are pending.  Nobody
+else can arrive before the cap would have fired, so the batch is the one the
+full window would have gathered — only the idle wait goes.
+
 ``process_batch(items)`` must return one outcome per item, in order; an
 outcome that is an ``Exception`` instance is *delivered* to (and re-raised
 in) its submitter only, so one malformed request cannot fail its batch
@@ -83,10 +90,11 @@ class MicroBatchQueue:
     max_batch:
         Largest batch handed to ``process_batch`` in one call.
     max_wait_s:
-        How long the drainer waits for more items after the first one
-        arrives.  ``0`` disables the window: a batch is whatever is pending
-        at wake-up (still > 1 under load, since items queue while the
-        previous batch is processed).
+        The cap on how long the drainer waits for more items after the first
+        one arrives; the window closes earlier once every possible submitter
+        is pending (see ``callers``).  ``0`` disables the window: a batch is
+        whatever is pending at wake-up (still > 1 under load, since items
+        queue while the previous batch is processed).
     name:
         Thread name suffix, for debuggability.
     max_pending:
@@ -95,12 +103,19 @@ class MicroBatchQueue:
         :class:`~repro.core.errors.OverloadedError` instead of letting the
         queue (and every caller's latency) grow without limit.  ``None``
         (default) leaves the queue unbounded.
+    callers:
+        Optional zero-argument callable bounding how many submitters could
+        be blocked in :meth:`submit` at once, read on the drainer thread
+        while the window is open.  Once that many items are pending the
+        window closes at once.  ``None`` (or a callable returning ``None``)
+        means no bound is known: the window always runs to ``max_wait_s``.
     """
 
     def __init__(self, process_batch: Callable[[list], Sequence],
                  max_batch: int = 64, max_wait_s: float = 0.002,
                  name: str = "microbatch",
-                 max_pending: "int | None" = None) -> None:
+                 max_pending: "int | None" = None,
+                 callers: "Callable[[], int | None] | None" = None) -> None:
         if max_batch < 1:
             raise InvalidParameterError(
                 f"max_batch must be >= 1, got {max_batch}")
@@ -114,6 +129,7 @@ class MicroBatchQueue:
         self.max_batch = int(max_batch)
         self.max_wait_s = float(max_wait_s)
         self.max_pending = None if max_pending is None else int(max_pending)
+        self._callers = callers
         self._name = f"repro-{name}"
         self._pending: list[_Pending] = []
         #: The batch currently being processed; tracked so a drainer death
@@ -212,6 +228,11 @@ class MicroBatchQueue:
 
     # ------------------------------------------------------------- drainer
 
+    def _everyone_pending(self) -> bool:
+        """Whether every submitter that could still join is already queued."""
+        bound = self._callers() if self._callers is not None else None
+        return bound is not None and len(self._pending) >= bound
+
     def _collect(self) -> "list[_Pending] | None":
         """Wait for work, hold the window open, take up to ``max_batch``.
 
@@ -225,7 +246,8 @@ class MicroBatchQueue:
                 return None  # closed and drained
             if self.max_wait_s > 0 and len(self._pending) < self.max_batch:
                 deadline = time.monotonic() + self.max_wait_s
-                while len(self._pending) < self.max_batch and not self._closed:
+                while (len(self._pending) < self.max_batch
+                       and not self._closed and not self._everyone_pending()):
                     remaining = deadline - time.monotonic()
                     if remaining <= 0:
                         break

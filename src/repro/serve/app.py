@@ -26,7 +26,7 @@ from __future__ import annotations
 
 import operator
 import threading
-from typing import Any
+from typing import Any, Callable
 
 import numpy as np
 
@@ -239,6 +239,14 @@ class SearchApp:
         self._indexes: "dict[str, ServedIndex]" = {}
         self._registry_lock = threading.Lock()
         self._closed = False
+        #: The front door's open-connection count, attached by
+        #: :class:`~repro.serve.routes.IndexServer`: it bounds how many
+        #: ``/knn`` requests can be in flight, so the micro-batch window
+        #: closes once that many are queued.  ``None`` (no server attached)
+        #: keeps the fixed ``batch_max_wait_s`` window.  In-process callers
+        #: of :meth:`knn` are not connections: with a server attached they
+        #: coalesce only with requests already queued.
+        self.open_connections: "Callable[[], int] | None" = None
         self.slow_log = (
             SlowQueryLog(self.config.slow_query_s,
                          path=self.config.slow_query_log_path)
@@ -261,15 +269,17 @@ class SearchApp:
                 f"index names must be non-empty and slash-free, got {name!r}")
         entry = ServedIndex(name, engine, path=path)
         if self.config.batching:
-            # The closure reads entry.engine per batch, so a future engine
-            # swap (hot reload) takes effect without rebuilding the queue.
+            # The closures read entry.engine and the attached server per
+            # batch, so a future engine swap (hot reload) or a server
+            # attached after this call takes effect without a new queue.
             entry.batcher = KnnBatcher(
                 lambda: entry.engine,
                 num_workers=self.config.num_workers,
                 max_batch=self.config.batch_max_size,
                 max_wait_s=self.config.batch_max_wait_s,
                 name=f"knn-{name}",
-                max_pending=self.config.max_pending)
+                max_pending=self.config.max_pending,
+                callers=self._knn_callers)
         with self._registry_lock:
             previous = self._indexes.get(name)
             self._indexes[name] = entry
@@ -319,6 +329,11 @@ class SearchApp:
         """
         engine = ShardedIndex.load(path, **options)
         return self.add_index(name, engine, path=path)
+
+    def _knn_callers(self) -> "int | None":
+        """Bound on concurrent ``/knn`` submitters; ``None`` if unknown."""
+        count = self.open_connections
+        return None if count is None else count()
 
     def _entry(self, name: str) -> ServedIndex:
         with self._registry_lock:

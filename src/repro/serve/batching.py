@@ -56,22 +56,26 @@ class KnnBatcher:
     num_workers:
         Worker threads handed to every ``knn_batch`` call (``None`` = the
         ``REPRO_NUM_WORKERS`` process default).
-    max_batch / max_wait_s / name / max_pending:
+    max_batch / max_wait_s / name / max_pending / callers:
         Forwarded to :class:`~repro.parallel.batching.MicroBatchQueue`
         (``max_pending`` bounds the backlog: beyond it ``submit`` sheds the
         request with a typed
-        :class:`~repro.core.errors.OverloadedError`).
+        :class:`~repro.core.errors.OverloadedError`; ``callers`` bounds the
+        possible submitters, so the window closes once they are all
+        pending — read per batch, like ``get_engine``).
     """
 
     def __init__(self, get_engine: Callable[[], Any], *,
                  num_workers: "int | None" = None, max_batch: int = 64,
                  max_wait_s: float = 0.002, name: str = "knn",
-                 max_pending: "int | None" = None) -> None:
+                 max_pending: "int | None" = None,
+                 callers: "Callable[[], int | None] | None" = None) -> None:
         self._get_engine = get_engine
         self._num_workers = num_workers
         self._queue = MicroBatchQueue(self._process, max_batch=max_batch,
                                       max_wait_s=max_wait_s, name=name,
-                                      max_pending=max_pending)
+                                      max_pending=max_pending,
+                                      callers=callers)
 
     @property
     def pending_depth(self) -> int:

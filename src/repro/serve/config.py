@@ -35,8 +35,12 @@ class ServeConfig:
         Disabling it serves every request with a private per-query ``knn``
         call — the naive baseline the serving benchmark compares against.
     batch_max_size / batch_max_wait_s:
-        Micro-batch window: largest coalesced batch, and how long the drainer
-        holds the window open for stragglers after the first request arrives.
+        Micro-batch window: largest coalesced batch, and the *cap* on how
+        long the drainer holds the window open for stragglers after the
+        first request arrives.  Behind an
+        :class:`~repro.serve.routes.IndexServer` the window closes earlier,
+        as soon as every open client connection has a ``/knn`` queued (no
+        other request could join), so a lone client never waits for it.
     num_workers:
         Worker threads handed to the engines (``None`` = the
         ``REPRO_NUM_WORKERS`` process default).
@@ -53,10 +57,11 @@ class ServeConfig:
         The ``Retry-After`` hint attached to shed (503) responses, in
         seconds.
     shutdown_drain_s:
-        Graceful-shutdown budget: after the server stops accepting
-        connections, how long :meth:`~repro.serve.routes.IndexServer.stop`
-        waits for in-flight requests (and the queued micro-batches behind
-        them) to finish before closing the queues regardless.
+        Graceful-shutdown budget: once the server starts draining (new
+        requests get a typed 503), how long
+        :meth:`~repro.serve.routes.IndexServer.stop` waits for in-flight
+        requests (and the queued micro-batches behind them) to finish before
+        closing the queues regardless.
     slow_query_s:
         Slow-query threshold: a ``/knn`` answer whose caller-observed wall
         time exceeds this many seconds is recorded in the structured

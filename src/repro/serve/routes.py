@@ -31,7 +31,9 @@ from __future__ import annotations
 
 import json
 import math
+import selectors
 import signal as signal_module
+import socket
 import threading
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from urllib.parse import unquote, urlsplit
@@ -40,10 +42,17 @@ from repro.core.errors import (
     OverloadedError,
     ReadOnlyIndexError,
     ReproError,
+    ShutdownError,
     ValidationError,
 )
+from repro.obs.metrics import get_registry
 from repro.serve.app import SearchApp
 from repro.serve.errors import error_payload, status_for
+
+_OPEN_CONNECTIONS = get_registry().gauge(
+    "repro_serve_open_connections",
+    "Client connections the HTTP server holds open (the bound the /knn "
+    "micro-batch window closes at).")
 
 _POST_ACTIONS = ("knn", "insert", "delete", "compact")
 #: Writes are refused on a worker: a shard-local insert/delete/compact would
@@ -158,8 +167,13 @@ class _Handler(BaseHTTPRequestHandler):
                 self._respond(200, self.app.healthz())
             elif path == "/readyz":
                 payload = self.app.readyz()
+                if self.server.draining:
+                    payload["ready"] = False
+                    payload.setdefault("reasons", []).append(
+                        "the server is draining")
                 # 503 until ready: load balancers and the cluster supervisor
-                # route on the status code alone.
+                # route on the status code alone — and a draining server
+                # keeps answering, so the supervisor sees it alive.
                 self._respond(200 if payload["ready"] else 503, payload)
             elif path == "/stats":
                 self._respond(200, self.app.stats())
@@ -181,7 +195,13 @@ class _Handler(BaseHTTPRequestHandler):
     def do_POST(self) -> None:  # noqa: N802 - stdlib naming
         self.server.request_started()
         try:
-            self._handle_post()
+            if self.server.draining:
+                # Only requests already in flight are drained; new work gets
+                # a typed 503 the client can retry elsewhere.
+                self._respond_error(ShutdownError(
+                    "the server is draining; retry on another server"))
+            else:
+                self._handle_post()
         finally:
             self.server.request_finished()
 
@@ -229,14 +249,20 @@ class _Handler(BaseHTTPRequestHandler):
 
 
 class _DrainingHTTPServer(ThreadingHTTPServer):
-    """Threaded server that counts its in-flight *requests* for shutdown.
+    """Threaded server that counts its open connections and in-flight requests.
 
-    The gauge covers individual requests, not connections: a keep-alive
-    thread idling between requests holds nothing in flight, so a drain does
-    not wait on clients that merely keep sockets open.  :meth:`wait_idle`
-    lets :meth:`IndexServer.stop` block — bounded — until every request
-    already being handled has been answered before the micro-batch queues
-    close underneath it.
+    *Connections* are counted from accept (on the acceptor thread, before
+    the handler thread runs) to close.  ``http.server`` answers one request
+    at a time per connection, so :attr:`open_connections` bounds how many
+    requests can be in flight at once — the bound the ``/knn`` micro-batch
+    window closes at.
+
+    *Requests* are counted separately: a keep-alive thread idling between
+    requests holds nothing in flight, so a drain does not wait on clients
+    that merely keep sockets open.  :meth:`wait_idle` lets
+    :meth:`IndexServer.stop` block — bounded — until every request already
+    being handled has been answered before the micro-batch queues close
+    underneath it.
     """
 
     daemon_threads = True
@@ -244,30 +270,78 @@ class _DrainingHTTPServer(ThreadingHTTPServer):
     def __init__(self, *args, **kwargs) -> None:
         super().__init__(*args, **kwargs)
         self.draining = False
+        self._connections = 0
         self._in_flight = 0
-        self._in_flight_lock = threading.Lock()
+        self._lock = threading.Lock()
         self._idle = threading.Event()
         self._idle.set()
+        # serve_forever sleeps in select(); one byte on this pair wakes it
+        # for shutdown() instead of a 0.5 s poll.
+        self._wake_reader, self._wake_writer = socket.socketpair()
+        self._stop_accepting = False
+        self._acceptor_done = threading.Event()
+        self._acceptor_done.set()
+
+    def process_request(self, request, client_address) -> None:
+        with self._lock:
+            self._connections += 1
+        super().process_request(request, client_address)
+
+    def shutdown_request(self, request) -> None:
+        super().shutdown_request(request)
+        with self._lock:
+            self._connections -= 1
+
+    @property
+    def open_connections(self) -> int:
+        with self._lock:
+            return self._connections
 
     def request_started(self) -> None:
-        with self._in_flight_lock:
+        with self._lock:
             self._in_flight += 1
             self._idle.clear()
 
     def request_finished(self) -> None:
-        with self._in_flight_lock:
+        with self._lock:
             self._in_flight -= 1
             if self._in_flight == 0:
                 self._idle.set()
 
     @property
     def in_flight(self) -> int:
-        with self._in_flight_lock:
+        with self._lock:
             return self._in_flight
 
     def wait_idle(self, timeout: "float | None") -> bool:
         """Block until no request is in flight; ``False`` on timeout."""
         return self._idle.wait(timeout)
+
+    def serve_forever(self, poll_interval: float = 0.5) -> None:
+        """Accept connections until :meth:`shutdown`, which wakes the loop
+        at once (``poll_interval`` is accepted for compatibility only)."""
+        self._acceptor_done.clear()
+        try:
+            with selectors.DefaultSelector() as selector:
+                selector.register(self, selectors.EVENT_READ)
+                selector.register(self._wake_reader, selectors.EVENT_READ)
+                while not self._stop_accepting:
+                    for key, _ in selector.select():
+                        if key.fileobj is self and not self._stop_accepting:
+                            self._handle_request_noblock()
+        finally:
+            self._acceptor_done.set()
+
+    def shutdown(self) -> None:
+        """Stop :meth:`serve_forever` and wait until it has returned."""
+        self._stop_accepting = True
+        self._wake_writer.send(b"\0")
+        self._acceptor_done.wait()
+
+    def server_close(self) -> None:
+        super().server_close()
+        self._wake_reader.close()
+        self._wake_writer.close()
 
 
 class IndexServer:
@@ -290,6 +364,9 @@ class IndexServer:
             (app.config.host, app.config.port), _Handler)
         self._httpd.app = app
         self._thread: "threading.Thread | None" = None
+        httpd = self._httpd
+        app.open_connections = lambda: httpd.open_connections
+        _OPEN_CONNECTIONS.set_function(app.open_connections)
 
     @property
     def host(self) -> str:
@@ -311,26 +388,39 @@ class IndexServer:
             self._thread.start()
         return self
 
-    def stop(self) -> None:
-        """Graceful shutdown: stop accepting, drain in-flight, close queues.
+    def drain(self) -> None:
+        """Finish in-flight requests and close the app; keep the listener.
 
-        Order matters: (1) mark the server draining so keep-alive handlers
-        hang up after their current response, (2) stop the acceptor and close
-        the listening socket — new connections are refused from here on,
-        (3) wait up to :attr:`ServeConfig.shutdown_drain_s` for every request
-        already accepted (including those blocked inside a micro-batch queue)
-        to finish, (4) close the app, which drains whatever is still queued
-        and then rejects stragglers with a typed
+        (1) Mark the server draining — keep-alive handlers hang up after
+        their current response, ``/readyz`` answers 503 and new requests get
+        a typed 503 (:class:`~repro.core.errors.ShutdownError`), (2) wait up
+        to :attr:`ServeConfig.shutdown_drain_s` for every request already in
+        flight (including those blocked inside a micro-batch queue) to
+        finish, (3) close the app, which drains whatever is still queued and
+        then rejects stragglers with a typed
         :class:`~repro.core.errors.ShutdownError`.
+
+        The listener keeps answering until :meth:`stop` closes it or the
+        process exits.  A supervised worker ends with this rather than
+        :meth:`stop`: its heartbeats get an answer right up to the exit, so
+        a clean stop is never mistaken for a hang.
         """
         self._httpd.draining = True
+        self._httpd.wait_idle(self.app.config.shutdown_drain_s)
+        self.app.close()
+
+    def stop(self) -> None:
+        """Graceful shutdown: :meth:`drain`, then stop accepting.
+
+        The acceptor stops and the listening socket closes only after the
+        drain — new connections are refused from there on.
+        """
+        self.drain()
         if self._thread is not None:
             self._httpd.shutdown()
             self._thread.join(timeout=10.0)
             self._thread = None
         self._httpd.server_close()
-        self._httpd.wait_idle(self.app.config.shutdown_drain_s)
-        self.app.close()
 
     def install_signal_handlers(
             self, signals=(signal_module.SIGTERM, signal_module.SIGINT),
@@ -356,9 +446,9 @@ class IndexServer:
     def serve_until_signal(self) -> None:
         """Serve until SIGTERM/SIGINT, then drain gracefully and return.
 
-        The bounded drain is the same one :meth:`stop` always runs: stop
-        accepting, finish in-flight requests (up to ``shutdown_drain_s``),
-        close the queues.  A supervised worker built on this exits 0 on
+        The bounded drain is the same one :meth:`stop` always runs: refuse
+        new requests, finish in-flight ones (up to ``shutdown_drain_s``),
+        close the queues, stop accepting.  A supervised worker built on this exits 0 on
         SIGTERM — which is how the cluster supervisor tells a deliberate
         stop from a crash.
         """

@@ -16,6 +16,8 @@ The cluster contract under test (see :mod:`repro.cluster`):
 * **crash loop** — a worker that cannot start (bad snapshot) trips the
   breaker after exactly ``crash_loop_threshold`` rapid crashes and the
   coordinator quarantines the shard via the ``on_crash_loop`` callback;
+* **failed spawn** — a respawn whose ``Popen`` raises is counted in
+  ``repro_supervisor_monitor_errors_total`` and retried, never dropped;
 * the cluster is **read-only**: writes raise typed errors instead of
   desyncing the coordinator's global id maps;
 * **keep-alive** — each shard client holds one persistent connection: a
@@ -39,6 +41,7 @@ import numpy as np
 import pytest
 
 import repro.cluster.client as client_module
+import repro.cluster.supervisor as supervisor_module
 from repro.cluster import (
     ClusterIndex,
     RemoteShardClient,
@@ -47,6 +50,7 @@ from repro.cluster import (
 )
 from repro.core.errors import ReadOnlyIndexError, ReproError, ShardError
 from repro.datasets.synthetic import random_walk
+from repro.index.persistence import save_index
 from repro.index.shard_health import HealthPolicy, RetryPolicy
 from repro.index.sharded import ShardedIndex
 from repro.index.sofa import SofaIndex
@@ -555,5 +559,42 @@ class TestCrashLoop:
             # Three rapid crashes tripped it; half-open pacing (cooloff)
             # means no storm of further restarts piles up afterwards.
             assert report["restarts"] >= 3
+        finally:
+            supervisor.stop()
+
+
+class TestFailedSpawn:
+    def test_popen_failure_is_counted_and_the_respawn_retried(
+            self, tmp_path, base_rows, monkeypatch):
+        snapshot_dir = tmp_path / "shard"
+        save_index(_factory().build(base_rows[:ROWS_PER_SHARD]), snapshot_dir)
+        errors = supervisor_module._SUPERVISOR_MONITOR_ERRORS.labels(
+            shard="0")
+        errors_before = errors.value()
+        supervisor = ShardSupervisor(tmp_path, [snapshot_dir],
+                                     policy=_fast_policy())
+        supervisor.start()
+        try:
+            supervisor.wait_ready(timeout_s=60.0)
+            first_pid = supervisor.report()[0]["pid"]
+            real_popen = supervisor_module.subprocess.Popen
+            refused: "list[list[str]]" = []
+
+            def popen_failing_once(argv, *args, **kwargs):
+                if not refused:
+                    refused.append(argv)
+                    raise OSError("injected: cannot spawn")
+                return real_popen(argv, *args, **kwargs)
+
+            monkeypatch.setattr(supervisor_module.subprocess, "Popen",
+                                popen_failing_once)
+            os.kill(first_pid, signal.SIGKILL)
+            _wait_until(
+                lambda: supervisor.report()[0]["pid"] not in (None,
+                                                              first_pid),
+                message="worker respawned after a failed Popen")
+            assert len(refused) == 1
+            assert errors.value() - errors_before == 1
+            supervisor.wait_ready(timeout_s=60.0)
         finally:
             supervisor.stop()

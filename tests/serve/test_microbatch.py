@@ -2,8 +2,11 @@
 
 from __future__ import annotations
 
+import json
+import sys
 import threading
 import time
+from http.client import HTTPConnection
 
 import numpy as np
 import pytest
@@ -17,7 +20,12 @@ from repro.core.errors import (
     ValidationError,
 )
 from repro.parallel import MicroBatchQueue
+from repro.serve import IndexServer, SearchApp, ServeConfig
 from repro.serve.batching import KnnBatcher
+
+#: A window cap far above any real wait here, so "dispatched before the cap"
+#: and "held to the cap" are told apart by a wide margin, not micro-timings.
+CAP_S = 1.0
 
 
 class TestMicroBatchQueue:
@@ -125,6 +133,170 @@ class TestMicroBatchQueue:
             MicroBatchQueue(lambda items: items, max_wait_s=-1.0)
         with pytest.raises(InvalidParameterError):
             MicroBatchQueue(lambda items: items, max_pending=0)
+
+
+class TestAdaptiveWindow:
+    """The window closes once ``callers()`` submitters are pending."""
+
+    def test_a_bound_of_one_dispatches_at_once(self):
+        queue = MicroBatchQueue(lambda items: list(items), max_wait_s=CAP_S,
+                                callers=lambda: 1)
+        try:
+            started = time.monotonic()
+            assert queue.submit(7, timeout=10) == 7
+            assert time.monotonic() - started < CAP_S / 2
+        finally:
+            queue.close()
+
+    def test_a_bound_of_n_waits_for_n_items_then_dispatches(self):
+        batches: list = []
+
+        def process(items):
+            batches.append(sorted(items))
+            return list(items)
+
+        queue = MicroBatchQueue(process, max_wait_s=CAP_S, callers=lambda: 3)
+        try:
+            started = time.monotonic()
+            threads = []
+            for value in range(3):
+                thread = threading.Thread(
+                    target=lambda value=value: queue.submit(value, timeout=10))
+                thread.start()
+                threads.append(thread)
+                time.sleep(0.05)  # stragglers, well inside the window
+            for thread in threads:
+                thread.join(10)
+            assert batches == [[0, 1, 2]]
+            assert time.monotonic() - started < CAP_S / 2
+        finally:
+            queue.close()
+
+    @pytest.mark.parametrize("callers", [None, lambda: None],
+                             ids=["no-callable", "unknown-bound"])
+    def test_no_bound_keeps_the_full_window(self, callers):
+        queue = MicroBatchQueue(lambda items: list(items), max_wait_s=CAP_S,
+                                callers=callers)
+        try:
+            started = time.monotonic()
+            assert queue.submit(7, timeout=10) == 7
+            assert time.monotonic() - started >= 0.9 * CAP_S
+        finally:
+            queue.close()
+
+
+class TestAdaptiveWindowOverHttp:
+    """The server's open connections are the bound: one connection is at
+    most one in-flight ``/knn``."""
+
+    @pytest.fixture()
+    def server(self, static_index):
+        app = SearchApp(ServeConfig(batch_max_wait_s=CAP_S))
+        app.add_index("static", static_index)
+        with IndexServer(app) as running:
+            yield running
+
+    @staticmethod
+    def _connect(server, count: int) -> "list[HTTPConnection]":
+        connections = [HTTPConnection(server.host, server.port, timeout=30)
+                       for _ in range(count)]
+        for connection in connections:
+            connection.connect()
+        # Counted at accept time, on the acceptor thread.
+        deadline = time.monotonic() + 10
+        while server._httpd.open_connections < count:
+            assert time.monotonic() < deadline, "connections never accepted"
+            time.sleep(0.001)
+        return connections
+
+    @staticmethod
+    def _knn(connection: HTTPConnection, query) -> float:
+        started = time.monotonic()
+        connection.request("POST", "/static/knn",
+                           body=json.dumps({"query": query.tolist(), "k": 2}),
+                           headers={"Content-Type": "application/json"})
+        response = connection.getresponse()
+        response.read()
+        assert response.status == 200
+        return time.monotonic() - started
+
+    def test_one_keep_alive_connection_never_waits_for_the_cap(
+            self, server, serve_queries):
+        (connection,) = self._connect(server, 1)
+        try:
+            latencies = [self._knn(connection, query)
+                         for query in serve_queries[:5]]
+        finally:
+            connection.close()
+        assert max(latencies) < CAP_S / 2, latencies
+
+    def test_an_idle_second_connection_holds_the_window_to_the_cap(
+            self, server, serve_queries):
+        active, idle = self._connect(server, 2)
+        try:
+            assert self._knn(active, serve_queries[0]) >= 0.9 * CAP_S
+        finally:
+            active.close()
+            idle.close()
+
+    def test_connections_released_together_still_coalesce(
+            self, server, serve_queries):
+        connections = self._connect(server, 4)
+        barrier = threading.Barrier(len(connections))
+        errors: list = []
+
+        def ask(connection, query):
+            barrier.wait(10)
+            try:
+                self._knn(connection, query)
+            except Exception as error:  # noqa: BLE001 - surfaced below
+                errors.append(error)
+
+        threads = [threading.Thread(target=ask, args=(connection, query))
+                   for connection, query in zip(connections, serve_queries)]
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(30)
+        finally:
+            for connection in connections:
+                connection.close()
+        assert not errors, errors
+        assert server.app._entry("static").batcher.stats["largest_batch"] >= 2
+
+    def test_connection_count_returns_to_zero_under_churn(self, server):
+        """Accept (acceptor thread) and close (handler threads) race on the
+        count; a lost update would leave it off zero once all are gone."""
+        errors: list = []
+
+        def churn():
+            try:
+                for _ in range(10):
+                    connection = HTTPConnection(server.host, server.port,
+                                                timeout=30)
+                    connection.request("GET", "/healthz")
+                    connection.getresponse().read()
+                    connection.close()
+            except Exception as error:  # noqa: BLE001 - surfaced below
+                errors.append(error)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=churn) for _ in range(8)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(60)
+                assert not thread.is_alive()
+        finally:
+            sys.setswitchinterval(interval)
+        assert not errors, errors
+        deadline = time.monotonic() + 10
+        while server._httpd.open_connections != 0:
+            assert time.monotonic() < deadline, server._httpd.open_connections
+            time.sleep(0.001)
 
 
 class _PoisonedOutcomes:

@@ -8,7 +8,9 @@ children start from zero regardless of what ran before.
 from __future__ import annotations
 
 import threading
+import time
 import urllib.request
+from http.client import HTTPConnection
 
 import numpy as np
 import pytest
@@ -173,6 +175,22 @@ class TestMetricsRoute:
         work = samples['repro_query_work_total{index="obs-static",'
                        'kind="exact_distances"}']
         assert work > 0
+
+    def test_open_connections_gauge_counts_client_connections(
+            self, obs_server):
+        idle = HTTPConnection(obs_server.host, obs_server.port, timeout=30)
+        idle.connect()
+        try:
+            deadline = time.monotonic() + 10
+            while obs_server._httpd.open_connections < 1:
+                assert time.monotonic() < deadline, "never accepted"
+                time.sleep(0.001)
+            # The idle connection plus the scrape's own.
+            samples, types = parse_exposition(scrape(obs_server.url)[1])
+            assert types["repro_serve_open_connections"] == "gauge"
+            assert samples["repro_serve_open_connections"] == 2
+        finally:
+            idle.close()
 
     def test_write_path_gauges_track_the_engine(self, obs_client,
                                                 obs_server):
