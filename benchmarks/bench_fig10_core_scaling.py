@@ -2,13 +2,11 @@
 
 The paper's box plots show how single-query latency falls as cores are added
 to one query's refinement workers, with SOFA keeping the lowest median at
-every core count.  Earlier revisions of this benchmark *replayed* the
-experiment through the virtual-core simulator over single-threaded work-item
-timings; with the intra-query parallel engine the experiment is now
-**measured**: the same exact 1-NN queries are answered at several real
-worker counts (`knn(..., num_workers=n)` draining each query's leaf queue
-against a shared best-so-far) and the distribution of per-dataset mean query
-times is reported per method and worker count.
+every core count.  The experiment is **measured**: the same exact 1-NN
+queries are answered at several real worker counts (`knn(...,
+num_workers=n)` draining each query's leaf queue against a shared
+best-so-far) and the distribution of per-dataset mean query times is
+reported per method and worker count.
 
 Asserted shape (robust on any hardware, including single-core CI runners
 where threads cannot reduce wall clock):

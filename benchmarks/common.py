@@ -112,9 +112,6 @@ def bench_leaf_size() -> int:
     return int(os.environ.get("REPRO_BENCH_LEAF_SIZE", "100"))
 
 
-#: Core counts simulated in the scaling experiments (as in the paper).
-CORE_COUNTS = (9, 18, 36)
-
 #: The subset of datasets used by the more expensive sweeps (k-NN, leaf size,
 #: sampling) so the full harness stays laptop-sized; the 1-NN and TLB studies
 #: cover all 17 datasets.

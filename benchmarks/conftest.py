@@ -17,7 +17,6 @@ import pytest
 sys.path.insert(0, str(__import__("pathlib").Path(__file__).parent))
 
 from common import (  # noqa: E402
-    CORE_COUNTS,
     SWEEP_DATASETS,
     bench_leaf_size,
     bench_num_queries,
@@ -75,12 +74,12 @@ def sweep_suite(benchmark_suite):
 
 @pytest.fixture(scope="session")
 def workload_runner():
-    return WorkloadRunner(core_counts=CORE_COUNTS, leaf_size=bench_leaf_size())
+    return WorkloadRunner(leaf_size=bench_leaf_size())
 
 
 @pytest.fixture(scope="session")
 def workload_1nn(benchmark_suite, workload_runner):
-    """The Table II workload: every method, every dataset, 1-NN, all core counts."""
+    """The Table II workload: every method, every dataset, 1-NN."""
     return workload_runner.run_suite(benchmark_suite, k_values=(1,))
 
 

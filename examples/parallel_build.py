@@ -67,13 +67,6 @@ def main() -> None:
             assert np.array_equal(left.distances, right.distances)
     print("\nall three builds answer 16 x 5-NN queries bit-identically")
 
-    # The recorded per-item costs still drive the virtual-core simulator
-    # (Figure 7); the measured wall clock now rides along.
-    timings = parallel.timings
-    print(f"recorded work items: {len(timings.transform_chunk_times)} transform "
-          f"chunks, {len(timings.subtree_times)} subtrees; "
-          f"wall {1000 * timings.wall_time:.1f} ms")
-
 
 if __name__ == "__main__":
     main()

@@ -31,7 +31,7 @@ def evaluate(name: str, num_series: int = 4000, num_queries: int = 15) -> None:
     methods = {
         "SOFA": SofaIndex(leaf_size=100),
         "MESSI": MessiIndex(leaf_size=100),
-        "UCR-suite scan": UcrSuiteScan(num_chunks=18),
+        "UCR-suite scan": UcrSuiteScan(),
     }
     reference_distances = None
     for label, method in methods.items():

@@ -6,7 +6,7 @@ together with every substrate it depends on: the SFA and iSAX summarizations,
 the MESSI-style tree index, the GEMINI exact-search engine, SIMD-style
 lower-bound kernels, scan and brute-force baselines, synthetic stand-ins for
 the paper's 17-dataset benchmark, and the evaluation machinery (TLB, pruning
-power, critical-difference ranks, virtual-core scaling).
+power, critical-difference ranks, measured build-and-query workloads).
 
 Quickstart
 ----------

@@ -8,14 +8,13 @@ paper feeds it mini-batches with one query per core.
 This reproduction follows the same structure: vectors and their squared norms
 are stored at build time, queries are processed in mini-batches through one
 matrix multiplication per batch, and ``numpy.argpartition`` plays the role of
-FAISS's partial sort.  Per-batch wall times are recorded so the virtual-core
-simulator can model the batch-parallel execution.
+FAISS's partial sort.
 """
 
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -26,14 +25,9 @@ from repro.core.series import Dataset
 
 @dataclass
 class BatchSearchStats:
-    """Per-mini-batch timings of a FlatL2 search."""
+    """Size of a FlatL2 search."""
 
-    batch_times: list[float] = field(default_factory=list)
     num_queries: int = 0
-
-    @property
-    def total_time(self) -> float:
-        return float(sum(self.batch_times))
 
 
 @dataclass
@@ -95,7 +89,6 @@ class FlatL2Index:
 
         for start_row in range(0, queries.shape[0], self.batch_size):
             batch = queries[start_row:start_row + self.batch_size]
-            start = time.perf_counter()
             query_norms = np.einsum("ij,ij->i", batch, batch)[:, None]
             squared = query_norms + self._norms[None, :] - 2.0 * (batch @ values.T)
             np.maximum(squared, 0.0, out=squared)
@@ -105,7 +98,6 @@ class FlatL2Index:
                 top = np.tile(np.arange(squared.shape[1]), (squared.shape[0], 1))
             top_distances = np.take_along_axis(squared, top, axis=1)
             order = np.argsort(top_distances, axis=1, kind="stable")
-            stats.batch_times.append(time.perf_counter() - start)
 
             rows = slice(start_row, start_row + batch.shape[0])
             all_indices[rows] = np.take_along_axis(top, order, axis=1)

@@ -1,22 +1,20 @@
-"""UCR Suite-P analogue: a parallel, early-abandoning sequential scan.
+"""UCR Suite-P analogue: an early-abandoning sequential scan.
 
 UCR Suite-P (the paper's scan baseline) assigns each thread a contiguous
 segment of the in-memory series array; every thread scans its segment
 independently with SIMD distance kernels and early abandoning against its
 local best-so-far, and the partial results are merged at the end.
 
-The reproduction mirrors that structure: the dataset is partitioned into
-chunks, each chunk is scanned with an early-abandoning kernel, per-chunk wall
-times are recorded, and the final answer is the merge of the per-chunk bests.
-The per-chunk times feed the virtual-core simulator to estimate multi-worker
-query times.
+The reproduction scans the whole array in one thread: blocks of series are
+evaluated with one batched kernel call until ``k`` candidates exist, then
+every remaining series with an early-abandoning kernel against the
+best-so-far.
 """
 
 from __future__ import annotations
 
 import heapq
-import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -24,20 +22,14 @@ from repro.core.distance import squared_euclidean_batch, squared_euclidean_early
 from repro.core.errors import SearchError
 from repro.core.normalization import znormalize
 from repro.core.series import Dataset
-from repro.parallel.pool import chunk_indices
 
 
 @dataclass
 class ScanStats:
-    """Per-chunk timings and work counters of one UCR-suite query."""
+    """Work counters of one UCR-suite query."""
 
-    chunk_times: list[float] = field(default_factory=list)
     exact_distances: int = 0
     early_abandons: int = 0
-
-    @property
-    def total_time(self) -> float:
-        return float(sum(self.chunk_times))
 
 
 @dataclass
@@ -48,26 +40,19 @@ class ScanResult:
 
 
 class UcrSuiteScan:
-    """Early-abandoning exact scan partitioned into per-worker chunks.
+    """Early-abandoning exact scan.
 
     Parameters
     ----------
-    num_chunks:
-        Number of data partitions; with ``p`` virtual workers the simulator
-        assigns these chunks to workers (the paper uses one chunk per thread).
     block_size:
         Number of series whose distances are evaluated with one batched kernel
         call before the best-so-far is refreshed; this mimics the SIMD blocks
         of the original implementation while keeping early abandoning.
     """
 
-    def __init__(self, num_chunks: int = 36, block_size: int = 64,
-                 normalize_queries: bool = True) -> None:
-        if num_chunks < 1:
-            raise SearchError("num_chunks must be >= 1")
+    def __init__(self, block_size: int = 64, normalize_queries: bool = True) -> None:
         if block_size < 1:
             raise SearchError("block_size must be >= 1")
-        self.num_chunks = num_chunks
         self.block_size = block_size
         self.normalize_queries = normalize_queries
         self.dataset: Dataset | None = None
@@ -78,7 +63,7 @@ class UcrSuiteScan:
         return self
 
     def knn(self, query: np.ndarray, k: int = 1) -> ScanResult:
-        """Exact k-NN with per-chunk early abandoning."""
+        """Exact k-NN with early abandoning."""
         if self.dataset is None:
             raise SearchError("UcrSuiteScan.build must be called before querying")
         if k < 1 or k > self.dataset.num_series:
@@ -91,29 +76,10 @@ class UcrSuiteScan:
         values = self.dataset.values
         # Max-heap of the k best squared distances found so far (negated).
         heap: list[tuple[float, int]] = []
-
-        for chunk in chunk_indices(self.dataset.num_series, self.num_chunks):
-            if chunk.size == 0:
-                continue
-            start = time.perf_counter()
-            self._scan_chunk(query, values, chunk, k, heap, stats)
-            stats.chunk_times.append(time.perf_counter() - start)
-
-        items = sorted((-negative, index) for negative, index in heap)
-        indices = np.array([index for _, index in items], dtype=np.int64)
-        distances = np.sqrt(np.array([squared for squared, _ in items]))
-        return ScanResult(indices=indices, distances=distances, stats=stats)
-
-    def nearest_neighbor(self, query: np.ndarray) -> ScanResult:
-        return self.knn(query, k=1)
-
-    # ------------------------------------------------------------ internals
-
-    def _scan_chunk(self, query: np.ndarray, values: np.ndarray, chunk: np.ndarray,
-                    k: int, heap: list[tuple[float, int]], stats: ScanStats) -> None:
-        threshold = -heap[0][0] if len(heap) >= k else np.inf
-        for block_start in range(0, chunk.size, self.block_size):
-            block = chunk[block_start:block_start + self.block_size]
+        threshold = np.inf
+        for block_start in range(0, self.dataset.num_series, self.block_size):
+            block = np.arange(block_start,
+                              min(block_start + self.block_size, self.dataset.num_series))
             if not np.isfinite(threshold):
                 squared = squared_euclidean_batch(query, values[block])
                 stats.exact_distances += block.size
@@ -127,6 +93,16 @@ class UcrSuiteScan:
                         threshold = self._offer(heap, k, distance, int(row))
                     else:
                         stats.early_abandons += 1
+
+        items = sorted((-negative, index) for negative, index in heap)
+        indices = np.array([index for _, index in items], dtype=np.int64)
+        distances = np.sqrt(np.array([squared for squared, _ in items]))
+        return ScanResult(indices=indices, distances=distances, stats=stats)
+
+    def nearest_neighbor(self, query: np.ndarray) -> ScanResult:
+        return self.knn(query, k=1)
+
+    # ------------------------------------------------------------ internals
 
     @staticmethod
     def _offer(heap: list[tuple[float, int]], k: int, squared: float, row: int) -> float:

@@ -1,11 +1,10 @@
-"""Workload runner: build every method on a dataset, run queries, model cores.
+"""Workload runner: build every method on a dataset, run queries, measure.
 
-This module glues the indexes, baselines, dataset registry and virtual-core
-simulator into the experiment loop used by most benchmarks: for each dataset
-and method it builds the structure, answers a set of held-out queries, and
-reports both the *measured* single-threaded times and the *simulated*
-multi-worker times obtained by replaying the measured per-task costs through
-:func:`repro.parallel.simulator.schedule_tasks`.
+This module glues the indexes, baselines and dataset registry into the
+experiment loop used by most benchmarks: for each dataset and method it builds
+the structure, answers a set of held-out queries, and records the measured
+build phases, the measured wall time of every query and the deterministic work
+behind it (exact distances and per-series lower bounds computed).
 
 Method names follow the paper: ``"SOFA"``, ``"MESSI"``, ``"FAISS"`` (the
 FlatL2 analogue) and ``"UCR-SUITE"`` (the parallel-scan analogue).
@@ -13,6 +12,7 @@ FlatL2 analogue) and ``"UCR-SUITE"`` (the parallel-scan analogue).
 
 from __future__ import annotations
 
+import time
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -24,7 +24,7 @@ from repro.core.series import Dataset
 from repro.evaluation.timing import QueryTimings
 from repro.index.messi import MessiIndex
 from repro.index.sofa import SofaIndex
-from repro.parallel.simulator import DEFAULT_SYNC_OVERHEAD, SimulatedRun, schedule_tasks
+from repro.index.tree import BuildTimings
 
 #: Methods understood by the workload runner, in the order the paper lists them.
 METHODS = ("FAISS", "MESSI", "SOFA", "UCR-SUITE")
@@ -32,26 +32,35 @@ METHODS = ("FAISS", "MESSI", "SOFA", "UCR-SUITE")
 
 @dataclass
 class BuildRecord:
-    """Construction cost of one method on one dataset at one core count."""
+    """Measured construction cost of one method on one dataset.
+
+    The phases are the tree indexes' :class:`~repro.index.tree.BuildTimings`
+    (zero for the baselines, which have no phases); ``wall_time`` is the
+    whole ``build`` call.
+    """
 
     dataset: str
     method: str
-    cores: int
     learn_time: float
     transform_time: float
     tree_time: float
-    total_time: float
+    wall_time: float
 
 
 @dataclass
 class QueryRecord:
-    """Query cost of one method on one dataset at one core count and one k."""
+    """Measured queries of one method on one dataset at one k.
+
+    One entry per query in each list: its wall time in seconds, and the
+    exact distances and per-series lower bounds it computed.
+    """
 
     dataset: str
     method: str
-    cores: int
     k: int
     query_times: list[float] = field(default_factory=list)
+    exact_distances: list[int] = field(default_factory=list)
+    series_lower_bounds: list[int] = field(default_factory=list)
     exact_correct: bool = True
 
     @property
@@ -62,6 +71,10 @@ class QueryRecord:
     def median_time(self) -> float:
         return float(np.median(self.query_times)) if self.query_times else 0.0
 
+    @property
+    def mean_exact_distances(self) -> float:
+        return float(np.mean(self.exact_distances)) if self.exact_distances else 0.0
+
 
 @dataclass
 class WorkloadResult:
@@ -70,28 +83,39 @@ class WorkloadResult:
     build_records: list[BuildRecord] = field(default_factory=list)
     query_records: list[QueryRecord] = field(default_factory=list)
 
-    def query_record(self, dataset: str, method: str, cores: int, k: int = 1) -> QueryRecord:
+    def query_record(self, dataset: str, method: str, k: int = 1) -> QueryRecord:
         for record in self.query_records:
-            if (record.dataset == dataset and record.method == method
-                    and record.cores == cores and record.k == k):
+            if record.dataset == dataset and record.method == method and record.k == k:
                 return record
-        raise KeyError(f"no query record for {dataset}/{method}/{cores} cores/k={k}")
+        raise KeyError(f"no query record for {dataset}/{method}/k={k}")
 
-    def mean_query_times(self, method: str, cores: int, k: int = 1) -> QueryTimings:
+    def _records(self, method: str, k: int) -> list[QueryRecord]:
+        return [record for record in self.query_records
+                if record.method == method and record.k == k]
+
+    def mean_query_times(self, method: str, k: int = 1) -> QueryTimings:
+        """Every measured query time of ``method`` at ``k``, over all datasets."""
         timings = QueryTimings()
-        for record in self.query_records:
-            if record.method == method and record.cores == cores and record.k == k:
-                timings.times.extend(record.query_times)
+        for record in self._records(method, k):
+            timings.times.extend(record.query_times)
         return timings
+
+    def mean_exact_distances(self, method: str, k: int = 1) -> float:
+        """Mean exact distances per query of ``method`` at ``k``, over all datasets."""
+        counts = [count for record in self._records(method, k)
+                  for count in record.exact_distances]
+        return float(np.mean(counts)) if counts else 0.0
 
 
 class WorkloadRunner:
     """Runs the paper's build-then-query workload on scaled-down datasets.
 
+    The tree indexes build and search with one worker, whatever
+    ``REPRO_NUM_WORKERS`` says, so every time is one uncontended thread's and
+    every work count is independent of thread timing.
+
     Parameters
     ----------
-    core_counts:
-        Virtual core counts to simulate (the paper uses 9, 18 and 36).
     leaf_size:
         Leaf capacity of the tree indexes.
     word_length, alphabet_size:
@@ -101,29 +125,17 @@ class WorkloadRunner:
         sampling fraction, …), used by the ablation benchmarks.
     """
 
-    def __init__(self, core_counts: tuple[int, ...] = (9, 18, 36), leaf_size: int = 100,
-                 word_length: int = 16, alphabet_size: int = 256,
-                 sofa_kwargs: dict | None = None,
-                 sync_overhead: float = DEFAULT_SYNC_OVERHEAD) -> None:
-        if not core_counts:
-            raise InvalidParameterError("core_counts must not be empty")
-        self.core_counts = tuple(core_counts)
+    def __init__(self, leaf_size: int = 100, word_length: int = 16,
+                 alphabet_size: int = 256, sofa_kwargs: dict | None = None) -> None:
         self.leaf_size = leaf_size
         self.word_length = word_length
         self.alphabet_size = alphabet_size
         self.sofa_kwargs = dict(sofa_kwargs or {})
-        self.sync_overhead = sync_overhead
 
     # --------------------------------------------------------- method setup
 
     def make_method(self, method: str):
-        """Instantiate one of the four competitors with the runner's parameters.
-
-        The tree indexes are pinned to one build worker: the runner's job is
-        to measure *single-threaded* per-task costs for the virtual-core
-        replay, and per-item timings taken inside concurrent worker threads
-        would include contention wait, inflating every simulated core count.
-        """
+        """Instantiate one of the four competitors with the runner's parameters."""
         if method == "SOFA":
             # An explicit num_workers in sofa_kwargs wins over the pin.
             sofa_kwargs = {"num_workers": 1, **self.sofa_kwargs}
@@ -133,105 +145,45 @@ class WorkloadRunner:
             return MessiIndex(word_length=self.word_length, alphabet_size=self.alphabet_size,
                               leaf_size=self.leaf_size, num_workers=1)
         if method == "FAISS":
-            return FlatL2Index(batch_size=max(self.core_counts))
+            return FlatL2Index()
         if method == "UCR-SUITE":
-            return UcrSuiteScan(num_chunks=max(self.core_counts))
+            return UcrSuiteScan()
         raise InvalidParameterError(f"unknown method '{method}'; expected one of {METHODS}")
-
-    # ---------------------------------------------------------------- build
-
-    def _simulate_build(self, dataset_name: str, method: str, instance) -> list[BuildRecord]:
-        records = []
-        for cores in self.core_counts:
-            if method in ("SOFA", "MESSI"):
-                timings = instance.timings
-                run = SimulatedRun(num_workers=cores)
-                run.add_phase("learning", [], serial_time=timings.learn_time,
-                              sync_overhead=self.sync_overhead)
-                run.add_phase("transform", timings.transform_chunk_times,
-                              sync_overhead=self.sync_overhead)
-                run.add_phase("tree", timings.subtree_times,
-                              sync_overhead=self.sync_overhead, num_barriers=2)
-                phase_times = run.phase_times()
-                records.append(BuildRecord(
-                    dataset=dataset_name, method=method, cores=cores,
-                    learn_time=phase_times["learning"],
-                    transform_time=phase_times["transform"],
-                    tree_time=phase_times["tree"],
-                    total_time=run.total_time,
-                ))
-            else:
-                build_time = getattr(instance, "build_time", 0.0)
-                schedule = schedule_tasks([build_time], cores,
-                                          sync_overhead=self.sync_overhead)
-                records.append(BuildRecord(
-                    dataset=dataset_name, method=method, cores=cores,
-                    learn_time=0.0, transform_time=0.0, tree_time=build_time,
-                    total_time=schedule.total_time,
-                ))
-        return records
 
     # --------------------------------------------------------------- query
 
-    def _measure_queries(self, method: str, instance, queries: Dataset, k: int,
-                         reference: "list[tuple[int, float]] | None"
-                         ) -> tuple[list[dict], bool]:
-        """Run every query once and collect its per-task costs.
-
-        Returns one work profile per query: ``{"serial": float, "tasks": list}``
-        ready to be replayed by the simulator for any number of cores, plus an
-        exactness flag against the optional brute-force reference.
-        """
-        profiles: list[dict] = []
-        correct = True
-        if method in ("SOFA", "MESSI"):
-            for row, query in enumerate(queries.values):
-                # Pinned to one search worker for the same reason builds are:
-                # the replay needs uncontended single-threaded per-item costs,
-                # whatever REPRO_NUM_WORKERS says.
-                result = instance.knn(query, k=k, num_workers=1)
-                stats = result.stats
-                profiles.append({"serial": stats.approximate_time + stats.traversal_time,
-                                 "tasks": list(stats.leaf_times)})
-                if reference is not None and k == 1:
-                    correct &= self._matches_reference(result.nearest_distance,
-                                                       reference[row][1])
-        elif method == "UCR-SUITE":
-            for row, query in enumerate(queries.values):
-                result = instance.knn(query, k=k)
-                profiles.append({"serial": 0.0, "tasks": list(result.stats.chunk_times)})
-                if reference is not None and k == 1:
-                    correct &= self._matches_reference(float(result.distances[0]),
-                                                       reference[row][1])
-        elif method == "FAISS":
-            batch_result = instance.search(queries.values, k=k)
-            batch_size = instance.batch_size
-            for batch_index, batch_time in enumerate(batch_result.stats.batch_times):
-                start = batch_index * batch_size
-                count = min(batch_size, queries.num_series - start)
-                # The batch is embarrassingly parallel over its queries: each
-                # query is one task of equal share of the batch's work.
-                per_query = batch_time / count
-                for _ in range(count):
-                    profiles.append({"serial": 0.0, "tasks": [per_query] * count,
-                                     "shared_batch": True})
-            if reference is not None and k >= 1:
-                for row in range(queries.num_series):
-                    correct &= self._matches_reference(float(batch_result.distances[row, 0]),
-                                                       reference[row][1])
+    def _measure_queries(self, record: QueryRecord, instance, queries: Dataset,
+                         reference: "list[tuple[int, float]] | None") -> None:
+        """Answer every query once, filling ``record`` with times and work."""
+        k = record.k
+        if record.method == "FAISS":
+            # FlatL2 answers the whole workload in mini-batches; each query is
+            # charged an equal share of the search's wall time.
+            start = time.perf_counter()
+            batch = instance.search(queries.values, k=k)
+            share = (time.perf_counter() - start) / max(1, queries.num_series)
+            record.query_times = [share] * queries.num_series
+            record.exact_distances = [instance.dataset.num_series] * queries.num_series
+            record.series_lower_bounds = [0] * queries.num_series
+            nearest = batch.distances[:, 0].tolist()
         else:
-            raise InvalidParameterError(f"unknown method '{method}'")
-        return profiles, correct
-
-    def _simulate_query_times(self, profiles: list[dict], cores: int) -> list[float]:
-        """Replay measured work profiles at a given virtual core count."""
-        times = []
-        for profile in profiles:
-            schedule = schedule_tasks(profile["tasks"], cores,
-                                      serial_time=profile["serial"],
-                                      sync_overhead=self.sync_overhead)
-            times.append(schedule.total_time)
-        return times
+            nearest = []
+            for query in queries.values:
+                if record.method == "UCR-SUITE":
+                    start = time.perf_counter()
+                    result = instance.knn(query, k=k)
+                    record.query_times.append(time.perf_counter() - start)
+                    record.series_lower_bounds.append(0)
+                else:
+                    result = instance.knn(query, k=k, num_workers=1)
+                    record.query_times.append(result.stats.wall_time_s)
+                    record.series_lower_bounds.append(result.stats.series_lower_bounds)
+                record.exact_distances.append(result.stats.exact_distances)
+                nearest.append(float(result.distances[0]))
+        if reference is not None:
+            record.exact_correct = all(
+                self._matches_reference(distance, expected)
+                for distance, (_, expected) in zip(nearest, reference))
 
     @staticmethod
     def _matches_reference(distance: float, reference_distance: float,
@@ -243,21 +195,28 @@ class WorkloadRunner:
     def run_dataset(self, dataset: Dataset, queries: Dataset,
                     methods: tuple[str, ...] = METHODS, k_values: tuple[int, ...] = (1,),
                     reference: "list[tuple[int, float]] | None" = None) -> WorkloadResult:
-        """Build every method once and answer every query at every core count."""
+        """Build every method once and answer every query at every k.
+
+        ``reference`` holds the brute-force 1-NN ``(row, distance)`` of each
+        query; every method's nearest distance is checked against it.
+        """
         result = WorkloadResult()
         for method in methods:
             instance = self.make_method(method)
+            start = time.perf_counter()
             instance.build(dataset)
-            result.build_records.extend(self._simulate_build(dataset.name, method, instance))
+            wall_time = time.perf_counter() - start
+            # Only the tree indexes have phases; the baselines report zeros.
+            timings = getattr(instance, "timings", None) or BuildTimings()
+            result.build_records.append(BuildRecord(
+                dataset=dataset.name, method=method,
+                learn_time=timings.learn_time, transform_time=timings.transform_time,
+                tree_time=timings.tree_time, wall_time=wall_time,
+            ))
             for k in k_values:
-                profiles, correct = self._measure_queries(method, instance, queries, k,
-                                                          reference)
-                for cores in self.core_counts:
-                    times = self._simulate_query_times(profiles, cores)
-                    result.query_records.append(QueryRecord(
-                        dataset=dataset.name, method=method, cores=cores, k=k,
-                        query_times=times, exact_correct=correct,
-                    ))
+                record = QueryRecord(dataset=dataset.name, method=method, k=k)
+                self._measure_queries(record, instance, queries, reference)
+                result.query_records.append(record)
         return result
 
     def run_suite(self, suite: "dict[str, tuple[Dataset, Dataset]]",

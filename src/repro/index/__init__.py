@@ -19,9 +19,9 @@ Two engines answer exact k-NN queries over a built
 
 Prefer the batched engine whenever queries arrive in groups of a few dozen or
 more; prefer the per-query engine (with intra-query workers on multi-core
-machines) for single interactive lookups or when per-leaf work-item timings
-feed the virtual-core simulator.  A batch smaller than the worker pool falls
-back to intra-query workers automatically, so no core idles either way.
+machines) for single interactive lookups.  A batch smaller than the worker
+pool falls back to intra-query workers automatically, so no core idles either
+way.
 
 Both engines can serve a *mutating* collection through
 :class:`~repro.index.dynamic.DynamicIndex`: buffered inserts and tombstone

@@ -512,7 +512,7 @@ class BatchSearcher:
             active[finished] = False
             round_share = (time.perf_counter() - round_start) / active_queries.size
             for query_index in active_queries:
-                stats[query_index].leaf_times.append(round_share)
+                stats[query_index].refinement_time += round_share
         for query_index, stat in enumerate(stats):
             stat.leaves_visited += int(visited[query_index])
             stat.series_lower_bounds += int(checked[query_index])
@@ -580,7 +580,7 @@ class BatchSearcher:
             active[active_queries[cuts < window]] = False
             round_share = (time.perf_counter() - round_start) / active_queries.size
             for query_index in active_queries:
-                stats[query_index].leaf_times.append(round_share)
+                stats[query_index].refinement_time += round_share
 
     # ------------------------------------------------------- shared refine
 

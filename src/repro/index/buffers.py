@@ -4,8 +4,7 @@ MESSI's index-construction phase first computes the symbolic summaries of all
 series into per-root-child buffers and only then builds each subtree from its
 buffer (Figure 5, Stage 1).  Keeping the two phases separate makes subtree
 construction embarrassingly parallel — each buffer belongs to exactly one
-subtree and one worker — and it is also what the virtual-core simulation uses
-as its unit of work.
+subtree and one worker.
 """
 
 from __future__ import annotations
@@ -40,9 +39,9 @@ def fill_buffers(words: np.ndarray, bits: int) -> list[SummaryBuffer]:
 
     Returns
     -------
-    list of :class:`SummaryBuffer`, ordered by descending size so that the
-    greedy worker assignment of the simulator (longest first) matches the order
-    MESSI's work queue would drain them in.
+    list of :class:`SummaryBuffer`, ordered by descending size so that a
+    worker pool picking them up in order realizes the greedy
+    longest-first schedule MESSI's work queue would drain them in.
     """
     words = np.asarray(words, dtype=np.int64)
     if words.ndim != 2:

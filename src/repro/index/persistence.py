@@ -459,8 +459,8 @@ def save_tree(tree: TreeIndex, path: "str | Path",
         },
         "timings": {
             "learn_time": tree.timings.learn_time,
-            "transform_chunk_times": list(tree.timings.transform_chunk_times),
-            "subtree_times": list(tree.timings.subtree_times),
+            "transform_time": tree.timings.transform_time,
+            "tree_time": tree.timings.tree_time,
             "wall_time": tree.timings.wall_time,
         },
         "arrays": sorted(arrays),
@@ -720,9 +720,11 @@ def load_tree(path: "str | Path", mmap: bool = True,
     timings = manifest.get("timings", {})
     tree.timings = BuildTimings(
         learn_time=float(timings.get("learn_time", 0.0)),
-        transform_chunk_times=[float(t) for t in
-                               timings.get("transform_chunk_times", [])],
-        subtree_times=[float(t) for t in timings.get("subtree_times", [])],
+        # Older snapshots store one time per work item; their sum is the phase.
+        transform_time=float(timings.get(
+            "transform_time", sum(timings.get("transform_chunk_times", [])))),
+        tree_time=float(timings.get(
+            "tree_time", sum(timings.get("subtree_times", [])))),
         wall_time=float(timings.get("wall_time", 0.0)),
     )
     return tree

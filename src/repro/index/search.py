@@ -17,8 +17,8 @@ The algorithm follows Section IV-C of the paper:
    abandoning against the BSF).
 
 k-NN uses the same machinery with the BSF being the k-th best distance found
-so far.  The searcher records per-leaf processing costs so the virtual-core
-simulator can estimate multi-worker query times.
+so far.  The searcher times each phase once per query (approximate search,
+traversal, refinement) next to its work counters.
 
 ``knn(..., num_workers=n)`` answers a *single* query with MESSI-style
 intra-query parallelism: after the approximate descent seeds the BSF, the
@@ -61,7 +61,7 @@ import numbers
 import operator
 import threading
 import time
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -79,14 +79,14 @@ from repro.parallel.pool import WorkerPool, resolve_num_workers
 
 @dataclass
 class SearchStats:
-    """Work counters and per-work-item timings of one exact query.
+    """Work counters and phase timings of one exact query.
 
     ``num_workers`` records how many threads served the query.  With more
     than one worker the counters are the deterministic merge (worker order,
     see :func:`repro.index.stats.merge_search_stats`) of the per-worker
-    reports; ``leaf_times`` then holds per-work-item *CPU* times across all
-    workers, so :attr:`refinement_time` measures aggregate refinement work,
-    not elapsed wall clock.
+    reports.  The phase times are wall clock: ``refinement_time`` covers the
+    whole refinement phase (the parallel drain included), not the work items
+    inside it.
     """
 
     num_series: int = 0
@@ -98,7 +98,9 @@ class SearchStats:
     exact_distances: int = 0
     approximate_time: float = 0.0
     traversal_time: float = 0.0
-    leaf_times: list[float] = field(default_factory=list)
+    #: The batched engine charges each query an equal share of every
+    #: refinement round it took part in.
+    refinement_time: float = 0.0
     #: True when a ``timeout_s`` budget expired before refinement finished:
     #: the answer is the best-so-far at expiry (every reported distance is a
     #: true distance, but a closer unrefined series may exist).
@@ -114,8 +116,8 @@ class SearchStats:
     partial: bool = False
     #: Wall-clock seconds of the whole engine call, set at the public entry
     #: points (:meth:`ExactSearcher.knn`, the batched engine, the sharded
-    #: scatter) — the caller-observed latency, as opposed to the aggregate
-    #: per-work-item CPU time of :attr:`total_time`.  For a batched call
+    #: scatter) — the caller-observed latency, as opposed to the summed
+    #: phase times of :attr:`total_time`.  For a batched call
     #: every result carries the batch's wall time (the latency each caller
     #: actually waited).  Merging per-worker stats keeps the target's value
     #: (wall time is a whole-query property, like the sequential phases);
@@ -128,10 +130,6 @@ class SearchStats:
         if self.shards_total == 0:
             return 1.0
         return self.shards_answered / self.shards_total
-
-    @property
-    def refinement_time(self) -> float:
-        return float(sum(self.leaf_times))
 
     @property
     def total_time(self) -> float:
@@ -401,11 +399,11 @@ def stats_to_payload(stats: SearchStats) -> dict:
     """JSON-ready dict of one :class:`SearchStats` (the shard RPC wire form).
 
     Derived from the dataclass fields, so a field added later travels
-    without further edits.  Round-trips exactly through
+    without further edits.  Every value is a scalar, so the payload's size
+    does not grow with the work a query did.  Round-trips exactly through
     :func:`stats_from_payload`: counters are ints, timings floats (JSON
-    preserves float64 bit patterns via shortest round-trip repr),
-    ``leaf_times`` the full per-work-item list — so merged cluster stats
-    equal the in-process scatter's merged stats.
+    preserves float64 bit patterns via shortest round-trip repr) — so merged
+    cluster stats equal the in-process scatter's merged stats.
     """
     return {spec.name: _wire_value(spec, getattr(stats, spec.name))
             for spec in fields(SearchStats)}
@@ -420,8 +418,6 @@ def stats_from_payload(payload: dict) -> SearchStats:
 
 def _wire_value(spec, value):
     """Coerce one stats field to its declared plain-Python type."""
-    if isinstance(value, (list, tuple)):
-        return [float(item) for item in value]
     return type(spec.default)(value)
 
 
@@ -638,63 +634,49 @@ class ExactSearcher:
                 # The seed refinement ignores the deadline: without at least
                 # one refined leaf there is no best-so-far to finalize.
                 self._refine_leaves(query, query_summary, [seed_leaf], heap,
-                                    stats, record_time=False, delta=delta)
+                                    stats, delta=delta)
             stats.approximate_time = time.perf_counter() - start
             if trace is not None:
                 trace.add_phase("approximate", stats.approximate_time,
                                 seeded=int(seed_leaf is not None))
 
-            if num_workers > 1:
+            if delta is not None and num_workers == 1:
+                # The delta is one extra pseudo-leaf, refined right after the
+                # seed so its series help tighten the BSF before traversal
+                # prunes.  (Parallel workers drain it as a queue item.)
                 start = time.perf_counter()
-                ordered_leaves, ordered_bounds = self._collect_leaves(
-                    query_summary, heap.threshold, stats, skip_leaf=seed_leaf)
-                stats.traversal_time = time.perf_counter() - start
+                self._refine_delta(query, query_summary, heap, stats, delta,
+                                   deadline=deadline)
+                delta_time = time.perf_counter() - start
+                stats.refinement_time += delta_time
                 if trace is not None:
-                    trace.add_phase("traversal", stats.traversal_time,
-                                    leaves_queued=len(ordered_leaves),
-                                    nodes_pruned=stats.nodes_pruned)
-                    refine_start = time.perf_counter()
+                    trace.add_phase("delta", delta_time,
+                                    delta_rows=int(delta.rows.size))
+
+            start = time.perf_counter()
+            ordered_leaves, ordered_bounds = self._collect_leaves(
+                query_summary, heap.threshold, stats, skip_leaf=seed_leaf)
+            stats.traversal_time = time.perf_counter() - start
+            if trace is not None:
+                trace.add_phase("traversal", stats.traversal_time,
+                                leaves_queued=len(ordered_leaves),
+                                nodes_pruned=stats.nodes_pruned)
+
+            start = time.perf_counter()
+            if num_workers > 1:
                 self._drain_queue_parallel(query, query_summary, ordered_leaves,
                                            ordered_bounds, heap, stats, delta,
                                            num_workers, deadline=deadline)
-                if trace is not None:
-                    # Wall time around the parallel drain; the merged
-                    # per-worker CPU time lands in a detail span below.
-                    trace.add_phase("refinement",
-                                    time.perf_counter() - refine_start,
-                                    workers=num_workers)
-                    trace.add_detail("refinement_cpu", stats.refinement_time,
-                                     leaves_visited=stats.leaves_visited)
             else:
-                # The delta is one extra pseudo-leaf, refined right after the
-                # seed so its series help tighten the BSF before traversal
-                # prunes.
-                if delta is not None:
-                    delta_start = time.perf_counter() if trace is not None else 0.0
-                    self._refine_delta(query, query_summary, heap, stats, delta,
-                                       deadline=deadline)
-                    if trace is not None:
-                        trace.add_phase("delta",
-                                        time.perf_counter() - delta_start,
-                                        delta_rows=int(delta.rows.size))
-
-                start = time.perf_counter()
-                ordered_leaves, ordered_bounds = self._collect_leaves(
-                    query_summary, heap.threshold, stats, skip_leaf=seed_leaf)
-                stats.traversal_time = time.perf_counter() - start
-                if trace is not None:
-                    trace.add_phase("traversal", stats.traversal_time,
-                                    leaves_queued=len(ordered_leaves),
-                                    nodes_pruned=stats.nodes_pruned)
-                    refine_start = time.perf_counter()
-
                 self._process_queue(query, query_summary, ordered_leaves,
                                     ordered_bounds, heap, stats, delta=delta,
                                     deadline=deadline)
-                if trace is not None:
-                    trace.add_phase("refinement",
-                                    time.perf_counter() - refine_start,
-                                    leaves_visited=stats.leaves_visited)
+            refine_time = time.perf_counter() - start
+            stats.refinement_time += refine_time
+            if trace is not None:
+                trace.add_phase("refinement", refine_time,
+                                leaves_visited=stats.leaves_visited,
+                                workers=num_workers)
 
         final_start = time.perf_counter() if trace is not None else 0.0
         rows = np.array([index for _, index in heap.sorted_items()], dtype=np.int64)
@@ -766,7 +748,7 @@ class ExactSearcher:
         squared = squared_euclidean_batch(query, self.index.dataset.values[candidate_rows])
         stats.exact_distances += candidate_rows.shape[0]
         heap.offer_block(squared, candidate_rows)
-        stats.leaf_times.append(time.perf_counter() - start)
+        stats.refinement_time = time.perf_counter() - start
 
         rows_ = np.array([index for _, index in heap.sorted_items()], dtype=np.int64)
         result = finalize_result(query, self.index.dataset.values, rows_, stats)
@@ -835,19 +817,19 @@ class ExactSearcher:
         The per-series lower bounds are computed in one vectorized call and
         the candidates refined through the shared blocked best-so-far loop
         (:meth:`_refine_candidates`) — the same GEMINI logic as the leaf-wise
-        path, without per-leaf overhead.  Per-block times are recorded as the
-        parallel work items for the virtual-core simulation.  Returns
-        :meth:`_flat_directory`'s delta seconds.
+        path, without per-leaf overhead.  Returns :meth:`_flat_directory`'s
+        delta seconds.
         """
         start = time.perf_counter()
         bounds, rows, delta_time = self._flat_directory(query_summary, delta)
         stats.series_lower_bounds += bounds.shape[0]
         stats.traversal_time = time.perf_counter() - start
 
+        start = time.perf_counter()
         self._refine_candidates(query, rows, bounds,
                                 self._flat_gather(rows, delta), heap, stats,
-                                block_size=block_size, time_blocks=True,
-                                deadline=deadline)
+                                block_size=block_size, deadline=deadline)
+        stats.refinement_time += time.perf_counter() - start
         return delta_time
 
     def _flat_gather(self, rows: np.ndarray, delta):
@@ -890,11 +872,12 @@ class ExactSearcher:
             self._refine_candidates(query, rows[block], bounds[block],
                                     lambda selected: gather(block[selected]),
                                     heap, worker_stats,
-                                    block_size=block_size, time_blocks=True,
-                                    deadline=deadline)
+                                    block_size=block_size, deadline=deadline)
 
+        start = time.perf_counter()
         merge_search_stats(stats, self._worker_pool(num_workers).map_shared(
             process, blocks, make_state=SearchStats))
+        stats.refinement_time += time.perf_counter() - start
         return delta_time
 
     # -------------------------------------------------------- leaf queueing
@@ -959,7 +942,6 @@ class ExactSearcher:
     def _refine_candidates(self, query: np.ndarray, rows: np.ndarray,
                            bounds: np.ndarray, gather, heap,
                            stats: SearchStats, block_size: int = 32,
-                           time_blocks: bool = False,
                            deadline: "float | None" = None) -> None:
         """Blocked best-so-far refinement shared by every candidate source.
 
@@ -975,9 +957,7 @@ class ExactSearcher:
 
         ``rows`` holds the candidates' global row ids, ``bounds`` their lower
         bounds, and ``gather(block)`` returns the series values of candidate
-        positions ``block``.  ``time_blocks`` records one work-item time per
-        block (the flat path's virtual-core granularity) instead of leaving
-        timing to the caller.  An expired ``deadline`` stops between blocks
+        positions ``block``.  An expired ``deadline`` stops between blocks
         with ``stats.timed_out`` set — the heap keeps every distance already
         refined, which is the best-so-far the timed-out query finalizes.
         """
@@ -998,12 +978,9 @@ class ExactSearcher:
                 # Candidates are ordered by lower bound, so everything that
                 # remains is at least as far away: abandon it wholesale.
                 break
-            block_timer = time.perf_counter() if time_blocks else 0.0
             squared = self._exact_block(query, gather(block), threshold)
             stats.exact_distances += block.size
             heap.offer_block(squared, rows[block])
-            if time_blocks:
-                stats.leaf_times.append(time.perf_counter() - block_timer)
 
     def _process_queue(self, query: np.ndarray, query_summary: np.ndarray,
                        ordered_leaves: list[LeafNode], ordered_bounds: np.ndarray,
@@ -1034,8 +1011,7 @@ class ExactSearcher:
             group, position = self._take_group(ordered_leaves, ordered_bounds,
                                                position, threshold)
             self._refine_leaves(query, query_summary, group, heap, stats,
-                                record_time=True, delta=delta,
-                                deadline=deadline)
+                                delta=delta, deadline=deadline)
 
     def _take_group(self, ordered_leaves: list[LeafNode],
                     ordered_bounds: np.ndarray, position: int,
@@ -1113,16 +1089,14 @@ class ExactSearcher:
                 worker_stats.leaves_pruned_in_queue += len(group)
                 return
             self._refine_leaves(query, query_summary, group, heap, worker_stats,
-                                record_time=True, delta=delta,
-                                deadline=deadline)
+                                delta=delta, deadline=deadline)
 
         merge_search_stats(stats, self._worker_pool(num_workers).map_shared(
             process, items, make_state=SearchStats))
 
     def _refine_leaves(self, query: np.ndarray, query_summary: np.ndarray,
                        leaves: list[LeafNode], heap, stats: SearchStats,
-                       record_time: bool, delta=None,
-                       deadline: "float | None" = None) -> None:
+                       delta=None, deadline: "float | None" = None) -> None:
         """Filter leaves by per-series lower bound, then refine exactly.
 
         One leaf or a whole group: several consecutive small leaves cost one
@@ -1130,7 +1104,6 @@ class ExactSearcher:
         the surviving candidates go through the shared blocked refinement
         loop (:meth:`_refine_candidates`).
         """
-        start = time.perf_counter()
         stats.leaves_visited += len(leaves)
         if len(leaves) == 1:
             leaf = leaves[0]
@@ -1147,8 +1120,6 @@ class ExactSearcher:
         self._refine_candidates(query, indices, bounds,
                                 lambda block: values[indices[block]],
                                 heap, stats, deadline=deadline)
-        if record_time:
-            stats.leaf_times.append(time.perf_counter() - start)
 
     def _refine_delta(self, query: np.ndarray, query_summary: np.ndarray,
                       heap, stats: SearchStats, delta,
@@ -1161,7 +1132,6 @@ class ExactSearcher:
         """
         if delta.rows.size == 0:
             return
-        start = time.perf_counter()
         bounds = batch_lower_bound(query_summary, delta.lower, delta.upper,
                                    self._weights)
         bounds[~delta.alive] = np.inf
@@ -1169,4 +1139,3 @@ class ExactSearcher:
         self._refine_candidates(query, delta.rows, bounds,
                                 lambda block: delta.values[block], heap, stats,
                                 deadline=deadline)
-        stats.leaf_times.append(time.perf_counter() - start)

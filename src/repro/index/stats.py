@@ -26,12 +26,12 @@ def merge_search_stats(into: "SearchStats",
     by completion time, so the merge *procedure* is deterministic.  The
     merged values themselves still reflect one concurrent run — which worker
     claimed which item, and how much work BSF pruning saved, depend on
-    thread timing — which is why the virtual-core simulator is only fed
-    stats from 1-worker searches.  Counters sum; per-work-item times
-    concatenate; the sequential phases (``approximate_time``,
-    ``traversal_time``) and the whole-query ``wall_time_s`` belong to
-    ``into`` and are left untouched — a worker's lifetime is contained in
-    the query's wall time, not added to it.
+    thread timing.  Counters and ``refinement_time`` sum (workers time
+    nothing themselves: the drain's wall time is added by its caller; the
+    sharded gather sums its shards' refinement phases); the sequential
+    phases (``approximate_time``, ``traversal_time``) and the whole-query
+    ``wall_time_s`` belong to ``into`` and are left untouched — a worker's
+    lifetime is contained in the query's wall time, not added to it.
     """
     for part in parts:
         into.leaves_visited += part.leaves_visited
@@ -39,7 +39,7 @@ def merge_search_stats(into: "SearchStats",
         into.nodes_pruned += part.nodes_pruned
         into.series_lower_bounds += part.series_lower_bounds
         into.exact_distances += part.exact_distances
-        into.leaf_times.extend(part.leaf_times)
+        into.refinement_time += part.refinement_time
         # Any worker hitting the search deadline marks the whole query.
         into.timed_out = into.timed_out or part.timed_out
     return into

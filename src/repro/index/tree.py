@@ -15,7 +15,7 @@ exploits their parallel structure:
    over a :class:`~repro.parallel.pool.WorkerPool` (the FFT / ``searchsorted``
    kernels release the GIL) and grouped into per-root-child buffers;
 2. build each root subtree independently from its buffer — one pool work item
-   per root child, dispatched largest-buffer-first (the simulator's greedy
+   per root child, dispatched largest-buffer-first (a greedy longest-first
    schedule), splitting any node that exceeds ``leaf_size`` by appending one
    bit to the dimension that balances the two children best.  The default
    ``"vectorized"`` builder grows each subtree a whole *frontier* of nodes per
@@ -25,16 +25,14 @@ exploits their parallel structure:
 
 The built tree is bit-identical for every ``num_workers`` and for both
 builders: same shape, same leaf payloads, same directory arrays, same
-query answers.  Timings of both stages are still recorded per work item so
-the virtual-core simulator can replay them for any number of workers
-(Figure 7), and ``BuildTimings.wall_time`` records the measured elapsed
-parallel wall clock alongside the per-item costs.
+query answers.  :class:`BuildTimings` records the measured wall time of each
+stage and of the whole build (Figure 7).
 """
 
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -57,23 +55,14 @@ BUILDERS = ("vectorized", "recursive")
 
 @dataclass
 class BuildTimings:
-    """Measured single-threaded costs of every construction work item."""
+    """Measured wall time of each construction phase, in seconds."""
 
     learn_time: float = 0.0
-    transform_chunk_times: list[float] = field(default_factory=list)
-    subtree_times: list[float] = field(default_factory=list)
-    #: Measured elapsed wall clock of the whole build.  With one worker this
-    #: tracks ``total_time`` (the sum of per-item costs); with several workers
-    #: it is the parallel makespan the virtual-core simulator estimates.
+    transform_time: float = 0.0
+    tree_time: float = 0.0
+    #: The whole build, including the buffer grouping and the leaf directory
+    #: assembly that fall between the phases.
     wall_time: float = 0.0
-
-    @property
-    def transform_time(self) -> float:
-        return float(sum(self.transform_chunk_times))
-
-    @property
-    def tree_time(self) -> float:
-        return float(sum(self.subtree_times))
 
     @property
     def total_time(self) -> float:
@@ -97,7 +86,7 @@ class TreeIndex:
         through dimensions in order.
     transform_chunks:
         Number of chunks the summarization stage is divided into; each chunk is
-        one work item for the virtual-core simulator and the worker pool.
+        one work item for the worker pool.
     num_workers:
         Worker threads used by both construction stages.  ``None`` (the
         default) falls back to the process default
@@ -195,21 +184,16 @@ class TreeIndex:
         build_subtree = (self._build_subtree if self.builder == "recursive"
                          else self._build_subtree_bulk)
 
-        def timed_subtree(buffer: SummaryBuffer) -> tuple[Node, float]:
-            subtree_start = time.perf_counter()
-            subtree = build_subtree(buffer)
-            return subtree, time.perf_counter() - subtree_start
-
         # One work item per root child.  ``fill_buffers`` orders the buffers
         # largest first, so FIFO pickup by the pool's workers realizes the
-        # greedy longest-processing-time-first schedule the virtual-core
-        # simulator replays; results are reassembled in buffer order, so the
-        # root-children dict (and every downstream array) is deterministic.
-        subtrees = pool.map(timed_subtree, buffers)
-        self.root_children = {}
-        for buffer, (subtree, elapsed) in zip(buffers, subtrees):
-            timings.subtree_times.append(elapsed)
-            self.root_children[buffer.key] = subtree
+        # greedy longest-processing-time-first schedule; results are
+        # reassembled in buffer order, so the root-children dict (and every
+        # downstream array) is deterministic.
+        start = time.perf_counter()
+        subtrees = pool.map(build_subtree, buffers)
+        timings.tree_time = time.perf_counter() - start
+        self.root_children = {buffer.key: subtree
+                              for buffer, subtree in zip(buffers, subtrees)}
         self._build_leaf_directory()
         timings.wall_time = time.perf_counter() - wall_start
         self.timings = timings
@@ -314,16 +298,12 @@ class TreeIndex:
 
     def _summarize_in_chunks(self, dataset: Dataset, timings: BuildTimings,
                              pool: WorkerPool) -> np.ndarray:
-        """Stage-1 summarization, chunked so each chunk is one simulator task.
+        """Stage-1 summarization, chunked so each chunk is one pool work item.
 
         Chunks are mapped over the worker pool (the FFT and ``searchsorted``
-        kernels release the GIL); each chunk's cost is timed inside the worker
-        and the blocks are reassembled in chunk order, so the word matrix is
-        identical for any worker count.  Per-item costs are faithful
-        single-threaded work measurements only at ``num_workers=1`` — inside
-        concurrent workers they include contention wait — which is why
-        anything feeding the virtual-core replay builds single-worker (see
-        :meth:`repro.evaluation.workloads.WorkloadRunner.make_method`).
+        kernels release the GIL) and the blocks are reassembled in chunk
+        order, so the word matrix is identical for any worker count.  The
+        stage's wall time is recorded as ``timings.transform_time``.
         """
         chunks = [chunk for chunk in
                   np.array_split(np.arange(dataset.num_series),
@@ -331,14 +311,11 @@ class TreeIndex:
                   if chunk.size]
         values = dataset.values
 
-        def timed_chunk(chunk: np.ndarray) -> tuple[np.ndarray, float]:
-            start = time.perf_counter()
-            block = self.summarization.words(values[chunk])
-            return block, time.perf_counter() - start
-
-        blocks = pool.map(timed_chunk, chunks)
-        timings.transform_chunk_times.extend(elapsed for _, elapsed in blocks)
-        return np.vstack([block for block, _ in blocks])
+        start = time.perf_counter()
+        blocks = pool.map(lambda chunk: self.summarization.words(values[chunk]),
+                          chunks)
+        timings.transform_time = time.perf_counter() - start
+        return np.vstack(blocks)
 
     def _build_subtree(self, buffer: SummaryBuffer) -> Node:
         """Build one root subtree recursively (the seed reference builder)."""

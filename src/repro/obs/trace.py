@@ -18,7 +18,7 @@ contract:
 
 ``detail``
     Overlapping or nested measurements — per-shard engine time inside a
-    concurrent scatter, per-worker refinement, heap-offer counts.  Details
+    concurrent scatter, heap-offer counts.  Details
     never enter the phase sum; they explain it.
 
 Counters ride on any span as keyword arguments (``leaves=12``,

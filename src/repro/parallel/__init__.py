@@ -1,5 +1,4 @@
-"""Parallel substrate: a real thread pool, a micro-batching request queue and
-a virtual-core cost simulator."""
+"""Parallel substrate: a real thread pool and a micro-batching request queue."""
 
 from repro.parallel.batching import MicroBatchQueue
 from repro.parallel.pool import (
@@ -9,28 +8,12 @@ from repro.parallel.pool import (
     default_num_workers,
     resolve_num_workers,
 )
-from repro.parallel.simulator import (
-    DEFAULT_SYNC_OVERHEAD,
-    PhaseTiming,
-    SimulatedRun,
-    SimulatedSchedule,
-    assert_single_worker_replay,
-    schedule_tasks,
-    split_into_chunks,
-)
 
 __all__ = [
     "BackgroundTask",
-    "DEFAULT_SYNC_OVERHEAD",
     "MicroBatchQueue",
-    "PhaseTiming",
-    "SimulatedRun",
-    "SimulatedSchedule",
     "WorkerPool",
-    "assert_single_worker_replay",
     "chunk_indices",
     "default_num_workers",
     "resolve_num_workers",
-    "schedule_tasks",
-    "split_into_chunks",
 ]

@@ -1,9 +1,8 @@
 """Thin thread-pool wrapper and chunking helpers.
 
-MESSI and SOFA are multi-threaded systems; the reproduction keeps a real
-thread-pool backend for code paths that release the GIL (NumPy kernels) and for
-exercising the concurrency structure in tests, while the *scaling experiments*
-use the deterministic simulator in :mod:`repro.parallel.simulator`.
+MESSI and SOFA are multi-threaded systems; the reproduction runs their
+parallel phases on a real thread pool, which pays off on code paths that
+release the GIL (NumPy kernels).
 """
 
 from __future__ import annotations

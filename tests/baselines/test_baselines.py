@@ -35,7 +35,7 @@ class TestUcrSuiteScan:
     def test_matches_serial_scan(self, clustered_index_and_queries):
         index_set, queries = clustered_index_and_queries
         reference = SerialScan().build(index_set)
-        ucr = UcrSuiteScan(num_chunks=7, block_size=16).build(index_set)
+        ucr = UcrSuiteScan(block_size=16).build(index_set)
         for query in queries.values[:10]:
             _, expected = reference.nearest_neighbor(query)
             result = ucr.nearest_neighbor(query)
@@ -44,27 +44,24 @@ class TestUcrSuiteScan:
     def test_knn_matches_serial_scan(self, clustered_index_and_queries):
         index_set, queries = clustered_index_and_queries
         reference = SerialScan().build(index_set)
-        ucr = UcrSuiteScan(num_chunks=4).build(index_set)
+        ucr = UcrSuiteScan().build(index_set)
         for query in queries.values[:5]:
             _, expected = reference.knn(query, k=5)
             result = ucr.knn(query, k=5)
             assert np.allclose(result.distances, expected, atol=1e-8)
 
-    def test_records_per_chunk_times(self, walk_dataset):
-        ucr = UcrSuiteScan(num_chunks=6).build(walk_dataset)
+    def test_scans_every_series_once(self, walk_dataset):
+        ucr = UcrSuiteScan(block_size=7).build(walk_dataset)
         result = ucr.nearest_neighbor(walk_dataset[0])
-        assert len(result.stats.chunk_times) == 6
-        assert result.stats.exact_distances > 0
+        assert result.stats.exact_distances == walk_dataset.num_series
 
     def test_early_abandoning_happens_on_clustered_data(self, clustered_index_and_queries):
         index_set, queries = clustered_index_and_queries
-        ucr = UcrSuiteScan(num_chunks=4, block_size=8).build(index_set)
+        ucr = UcrSuiteScan(block_size=8).build(index_set)
         result = ucr.nearest_neighbor(queries[0])
         assert result.stats.early_abandons > 0
 
     def test_invalid_parameters(self):
-        with pytest.raises(SearchError):
-            UcrSuiteScan(num_chunks=0)
         with pytest.raises(SearchError):
             UcrSuiteScan(block_size=0)
 
@@ -89,7 +86,7 @@ class TestFlatL2Index:
         result = flat.search(queries.values, k=3)
         assert result.indices.shape == (queries.num_series, 3)
         assert result.distances.shape == (queries.num_series, 3)
-        assert len(result.stats.batch_times) == int(np.ceil(queries.num_series / 6))
+        assert result.stats.num_queries == queries.num_series
 
     def test_batch_results_match_per_query_results(self, clustered_index_and_queries):
         index_set, queries = clustered_index_and_queries
@@ -126,7 +123,7 @@ class TestBaselineAgreement:
         """Serial scan, UCR scan and FlatL2 return identical nearest neighbours."""
         index_set, queries = lowfreq_index_and_queries
         serial = SerialScan().build(index_set)
-        ucr = UcrSuiteScan(num_chunks=5).build(index_set)
+        ucr = UcrSuiteScan().build(index_set)
         flat = FlatL2Index(batch_size=3).build(index_set)
         for query in queries.values[:10]:
             _, expected = serial.nearest_neighbor(query)

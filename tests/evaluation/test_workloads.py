@@ -17,84 +17,106 @@ def tiny_workload():
 
 class TestMethodFactory:
     def test_all_paper_methods_are_constructible(self):
-        runner = WorkloadRunner(core_counts=(2,), leaf_size=30)
+        runner = WorkloadRunner(leaf_size=30)
         for method in METHODS:
             assert runner.make_method(method) is not None
 
     def test_unknown_method_raises(self):
         with pytest.raises(InvalidParameterError):
-            WorkloadRunner(core_counts=(2,)).make_method("HNSW")
-
-    def test_empty_core_counts_raise(self):
-        with pytest.raises(InvalidParameterError):
-            WorkloadRunner(core_counts=())
+            WorkloadRunner().make_method("HNSW")
 
     def test_sofa_kwargs_forwarded(self):
-        runner = WorkloadRunner(core_counts=(2,), sofa_kwargs={"binning": "equi-depth"})
+        runner = WorkloadRunner(sofa_kwargs={"binning": "equi-depth"})
         assert runner.make_method("SOFA").summarization.binning == "equi-depth"
 
 
 class TestRunDataset:
-    def test_records_for_every_method_core_and_k(self, tiny_workload):
+    def test_records_for_every_method_and_k(self, tiny_workload):
         index_set, queries = tiny_workload
-        runner = WorkloadRunner(core_counts=(2, 4), leaf_size=30)
+        runner = WorkloadRunner(leaf_size=30)
         result = runner.run_dataset(index_set, queries, methods=("SOFA", "MESSI"),
                                     k_values=(1, 3))
-        assert len(result.build_records) == 2 * 2       # methods x cores
-        assert len(result.query_records) == 2 * 2 * 2   # methods x k x cores
-        record = result.query_record(index_set.name, "SOFA", cores=2, k=1)
+        assert len(result.build_records) == 2           # one per method
+        assert len(result.query_records) == 2 * 2       # methods x k
+        record = result.query_record(index_set.name, "SOFA", k=1)
         assert len(record.query_times) == queries.num_series
+        assert len(record.exact_distances) == queries.num_series
+        assert len(record.series_lower_bounds) == queries.num_series
         assert record.mean_time > 0.0
         assert record.median_time > 0.0
 
-    def test_all_methods_run_and_report_positive_times(self, tiny_workload):
+    def test_all_methods_run_and_report_positive_times_and_work(self, tiny_workload):
         index_set, queries = tiny_workload
-        runner = WorkloadRunner(core_counts=(4,), leaf_size=30)
+        runner = WorkloadRunner(leaf_size=30)
         result = runner.run_dataset(index_set, queries, methods=METHODS)
         for method in METHODS:
-            record = result.query_record(index_set.name, method, cores=4, k=1)
+            record = result.query_record(index_set.name, method, k=1)
             assert record.mean_time > 0.0
+            assert record.mean_exact_distances > 0.0
+
+    def test_work_counts_are_the_engines_own(self, tiny_workload):
+        """The tree records carry each query's 1-worker SearchStats counts;
+        the brute-force baselines compute every distance and no bound."""
+        index_set, queries = tiny_workload
+        runner = WorkloadRunner(leaf_size=30)
+        result = runner.run_dataset(index_set, queries, methods=("SOFA", "FAISS"))
+        sofa = runner.make_method("SOFA").build(index_set)
+        expected = [sofa.knn(query, k=1, num_workers=1).stats
+                    for query in queries.values]
+        record = result.query_record(index_set.name, "SOFA")
+        assert record.exact_distances == [s.exact_distances for s in expected]
+        assert record.series_lower_bounds == [s.series_lower_bounds for s in expected]
+        faiss = result.query_record(index_set.name, "FAISS")
+        assert faiss.exact_distances == [index_set.num_series] * queries.num_series
+        assert faiss.series_lower_bounds == [0] * queries.num_series
 
     def test_reference_checking_confirms_exactness(self, tiny_workload):
         index_set, queries = tiny_workload
         scan = SerialScan().build(index_set)
         reference = [scan.nearest_neighbor(query) for query in queries.values]
-        runner = WorkloadRunner(core_counts=(2,), leaf_size=30)
-        result = runner.run_dataset(index_set, queries, methods=("SOFA", "MESSI", "FAISS"),
-                                    reference=reference)
+        runner = WorkloadRunner(leaf_size=30)
+        result = runner.run_dataset(index_set, queries, methods=METHODS,
+                                    k_values=(1, 3), reference=reference)
         assert all(record.exact_correct for record in result.query_records)
 
-    def test_more_cores_do_not_increase_simulated_tree_query_time(self, tiny_workload):
+    def test_reference_checking_flags_a_wrong_answer(self, tiny_workload):
         index_set, queries = tiny_workload
-        runner = WorkloadRunner(core_counts=(1, 8), leaf_size=30, sync_overhead=0.0)
-        result = runner.run_dataset(index_set, queries, methods=("SOFA",))
-        single = result.query_record(index_set.name, "SOFA", cores=1).mean_time
-        many = result.query_record(index_set.name, "SOFA", cores=8).mean_time
-        assert many <= single + 1e-9
+        scan = SerialScan().build(index_set)
+        reference = [(row, distance + 1.0) for row, distance in
+                     (scan.nearest_neighbor(query) for query in queries.values)]
+        runner = WorkloadRunner(leaf_size=30)
+        result = runner.run_dataset(index_set, queries, methods=("SOFA",),
+                                    reference=reference)
+        assert not result.query_record(index_set.name, "SOFA").exact_correct
 
     def test_build_records_have_phase_breakdown(self, tiny_workload):
         index_set, queries = tiny_workload
-        runner = WorkloadRunner(core_counts=(2,), leaf_size=30)
-        result = runner.run_dataset(index_set, queries, methods=("SOFA",))
-        record = result.build_records[0]
-        assert record.total_time > 0.0
-        assert record.total_time >= record.learn_time
-        assert record.transform_time > 0.0
-        assert record.tree_time > 0.0
+        runner = WorkloadRunner(leaf_size=30)
+        result = runner.run_dataset(index_set, queries, methods=("SOFA", "FAISS"))
+        sofa, faiss = result.build_records
+        assert sofa.learn_time > 0.0
+        assert sofa.transform_time > 0.0
+        assert sofa.tree_time > 0.0
+        assert sofa.wall_time >= sofa.learn_time + sofa.transform_time + sofa.tree_time
+        assert faiss.wall_time > 0.0
+        assert (faiss.learn_time, faiss.transform_time, faiss.tree_time) == (0.0, 0.0, 0.0)
 
     def test_missing_record_lookup_raises(self, tiny_workload):
         index_set, queries = tiny_workload
-        runner = WorkloadRunner(core_counts=(2,), leaf_size=30)
+        runner = WorkloadRunner(leaf_size=30)
         result = runner.run_dataset(index_set, queries, methods=("SOFA",))
         with pytest.raises(KeyError):
-            result.query_record("nope", "SOFA", cores=2)
+            result.query_record("nope", "SOFA")
 
     def test_run_suite_combines_datasets(self):
         first = load_dataset("SALD", num_series=200, seed=1).split(5)
         second = load_dataset("TXED", num_series=200, seed=2).split(5)
-        runner = WorkloadRunner(core_counts=(2,), leaf_size=30)
+        runner = WorkloadRunner(leaf_size=30)
         result = runner.run_suite({"SALD": first, "TXED": second}, methods=("MESSI",))
         datasets = {record.dataset for record in result.query_records}
         assert datasets == {"SALD", "TXED"}
-        timings = result.mean_query_times("MESSI", cores=2)
+        timings = result.mean_query_times("MESSI")
         assert len(timings.times) == 10
+        pooled = [count for record in result.query_records
+                  for count in record.exact_distances]
+        assert result.mean_exact_distances("MESSI") == pytest.approx(np.mean(pooled))

@@ -283,10 +283,10 @@ class TestStatsMerging:
                            traversal_time=0.25)
         parts = [
             SearchStats(leaves_visited=2, exact_distances=10,
-                        series_lower_bounds=20, leaf_times=[0.1, 0.2]),
+                        series_lower_bounds=20, refinement_time=0.125),
             SearchStats(leaves_visited=1, leaves_pruned_in_queue=4,
                         exact_distances=5, series_lower_bounds=5,
-                        leaf_times=[0.3]),
+                        refinement_time=0.25),
         ]
         merged = merge_search_stats(into, parts)
         assert merged is into
@@ -294,7 +294,7 @@ class TestStatsMerging:
         assert merged.leaves_pruned_in_queue == 4
         assert merged.exact_distances == 15
         assert merged.series_lower_bounds == 25
-        assert merged.leaf_times == [0.1, 0.2, 0.3]
+        assert merged.refinement_time == 0.375
         # The sequential phases belong to the query-level stats.
         assert merged.approximate_time == 0.5
         assert merged.traversal_time == 0.25

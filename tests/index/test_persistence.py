@@ -384,6 +384,32 @@ class TestGoldenDynamicV2:
         assert dynamic.num_surviving == surviving + 1
 
 
+class TestBuildTimingsSnapshot:
+    """Build phases travel as four scalars; older snapshots stored one time
+    per work item (``transform_chunk_times`` / ``subtree_times``), and the
+    loader sums those lists into the phase scalars."""
+
+    @pytest.mark.parametrize("snapshot", [GOLDEN_SNAPSHOT, GOLDEN_DYNAMIC_SNAPSHOT],
+                             ids=["golden-messi-v1", "golden-dynamic-v2"])
+    def test_legacy_per_item_lists_load_as_sums(self, snapshot):
+        stored = persistence.read_manifest(snapshot)["timings"]
+        timings = persistence.load_dynamic(snapshot).tree.timings
+        assert timings.learn_time == stored["learn_time"]
+        assert timings.transform_time == sum(stored["transform_chunk_times"])
+        assert timings.tree_time == sum(stored["subtree_times"])
+        assert timings.wall_time == stored.get("wall_time", 0.0)
+
+    def test_save_writes_scalars_and_round_trips(self, tmp_path):
+        index = SofaIndex(word_length=8, alphabet_size=16,
+                          leaf_size=8).build(random_walk(60, 32, seed=3))
+        index.save(tmp_path / "snap")
+        stored = persistence.read_manifest(tmp_path / "snap")["timings"]
+        assert set(stored) == {"learn_time", "transform_time", "tree_time",
+                               "wall_time"}
+        loaded = SofaIndex.load(tmp_path / "snap").timings
+        assert loaded == index.timings
+
+
 class TestV1UpgradePath:
     """Format-v1 snapshots load as compacted dynamic indexes (empty delta)."""
 

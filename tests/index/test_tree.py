@@ -228,7 +228,7 @@ class TestTimings:
         assert timings.learn_time >= 0.0
         assert timings.transform_time > 0.0
         assert timings.tree_time > 0.0
-        assert len(timings.subtree_times) == len(tree.root_children)
+        assert timings.wall_time >= timings.total_time
         assert timings.total_time == pytest.approx(
             timings.learn_time + timings.transform_time + timings.tree_time)
 

@@ -39,7 +39,7 @@ class TestFullQueryPipeline:
         scan = SerialScan().build(index_set)
         sofa = SofaIndex(leaf_size=60).build(index_set)
         messi = MessiIndex(leaf_size=60).build(index_set)
-        ucr = UcrSuiteScan(num_chunks=4).build(index_set)
+        ucr = UcrSuiteScan().build(index_set)
         flat = FlatL2Index(batch_size=4).build(index_set)
         for query in queries.values:
             _, expected = scan.nearest_neighbor(query)
@@ -68,7 +68,7 @@ class TestFullQueryPipeline:
         thread timing), not a wall time: measured 304 for SOFA, 6011 for
         MESSI and 17856 for the scan."""
         index_set, queries = workload
-        runner = WorkloadRunner(core_counts=(18,), leaf_size=100)
+        runner = WorkloadRunner(leaf_size=100)
         work = {}
         for method in ("SOFA", "MESSI"):
             index = runner.make_method(method).build(index_set)

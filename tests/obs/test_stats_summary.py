@@ -33,7 +33,7 @@ def stats_strategy() -> st.SearchStrategy:
         leaves_visited=st.integers(0, 500),
         series_lower_bounds=st.integers(0, 10_000),
         exact_distances=st.integers(0, 10_000),
-        leaf_times=st.lists(st.floats(0.0, 0.1), max_size=5),
+        refinement_time=st.floats(0.0, 0.1),
         timed_out=st.booleans(),
         shards_total=st.integers(0, 8),
         shards_answered=st.integers(0, 8),
@@ -62,7 +62,7 @@ class TestSingle:
     def test_single_part_round_trips(self):
         part = SearchStats(num_series=100, leaves_visited=3,
                            series_lower_bounds=80, exact_distances=20,
-                           leaf_times=[0.01, 0.02], wall_time_s=0.25)
+                           refinement_time=0.03, wall_time_s=0.25)
         summary = summarize_search_stats([part])
         assert summary["queries"] == 1
         assert summary["series_served"] == 100
@@ -124,7 +124,7 @@ class TestMergeWallSemantics:
         """Worker lifetimes live inside the query's wall, never add to it."""
         into = SearchStats(wall_time_s=0.5, approximate_time=0.1)
         parts = [SearchStats(wall_time_s=0.4, leaves_visited=2,
-                             leaf_times=[0.01]),
+                             refinement_time=0.01),
                  SearchStats(wall_time_s=0.3, leaves_visited=1)]
         merged = merge_search_stats(into, parts)
         assert merged is into

@@ -1,9 +1,7 @@
-"""Tests for the worker pool and the virtual-core simulator."""
+"""Tests for the worker pool and its helpers."""
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from repro.core.errors import InvalidParameterError
 from repro.parallel.pool import (
@@ -13,12 +11,6 @@ from repro.parallel.pool import (
     chunk_indices,
     default_num_workers,
     resolve_num_workers,
-)
-from repro.parallel.simulator import (
-    SimulatedRun,
-    assert_single_worker_replay,
-    schedule_tasks,
-    split_into_chunks,
 )
 
 
@@ -183,119 +175,6 @@ class TestDefaultNumWorkers:
     def test_invalid_explicit_value_raises(self):
         with pytest.raises(InvalidParameterError):
             resolve_num_workers(0)
-
-
-class TestAssertSingleWorkerReplay:
-    def test_consistent_timings_pass(self):
-        simulated = assert_single_worker_replay([0.2, 0.3], serial_time=0.1,
-                                                wall_time=0.62)
-        assert simulated == pytest.approx(0.6)
-
-    def test_drifted_timings_fail(self):
-        with pytest.raises(AssertionError, match="disagrees"):
-            assert_single_worker_replay([0.2, 0.3], serial_time=0.0,
-                                        wall_time=5.0, rtol=0.1, atol=0.01)
-
-    def test_negative_wall_time_rejected(self):
-        with pytest.raises(InvalidParameterError):
-            assert_single_worker_replay([0.1], serial_time=0.0, wall_time=-1.0)
-
-
-class TestScheduleTasks:
-    def test_single_worker_makespan_is_total_work(self):
-        schedule = schedule_tasks([1.0, 2.0, 3.0], num_workers=1, sync_overhead=0.0)
-        assert schedule.makespan == pytest.approx(6.0)
-        assert schedule.total_time == pytest.approx(6.0)
-
-    def test_perfectly_divisible_work_scales_linearly(self):
-        schedule = schedule_tasks([1.0] * 8, num_workers=4, sync_overhead=0.0)
-        assert schedule.makespan == pytest.approx(2.0)
-
-    def test_makespan_at_least_longest_task(self):
-        schedule = schedule_tasks([5.0, 0.1, 0.1], num_workers=8, sync_overhead=0.0)
-        assert schedule.makespan == pytest.approx(5.0)
-
-    def test_more_workers_never_increase_makespan(self):
-        rng = np.random.default_rng(0)
-        costs = rng.uniform(0.1, 1.0, 30)
-        previous = np.inf
-        for workers in (1, 2, 4, 8, 16):
-            makespan = schedule_tasks(costs, workers, sync_overhead=0.0).makespan
-            assert makespan <= previous + 1e-12
-            previous = makespan
-
-    def test_sync_overhead_grows_with_workers(self):
-        small = schedule_tasks([1.0], 2, sync_overhead=0.01)
-        large = schedule_tasks([1.0], 16, sync_overhead=0.01)
-        assert large.sync_overhead > small.sync_overhead
-
-    def test_serial_time_is_added(self):
-        schedule = schedule_tasks([1.0], 4, serial_time=2.0, sync_overhead=0.0)
-        assert schedule.total_time == pytest.approx(3.0)
-
-    def test_empty_task_list(self):
-        schedule = schedule_tasks([], 4, sync_overhead=0.0)
-        assert schedule.makespan == 0.0
-
-    def test_negative_cost_raises(self):
-        with pytest.raises(InvalidParameterError):
-            schedule_tasks([-1.0], 2)
-
-    def test_invalid_worker_count_raises(self):
-        with pytest.raises(InvalidParameterError):
-            schedule_tasks([1.0], 0)
-
-    def test_worker_loads_sum_to_total_work(self):
-        costs = [0.5, 1.5, 2.0, 0.25]
-        schedule = schedule_tasks(costs, 3, sync_overhead=0.0)
-        assert schedule.total_work == pytest.approx(sum(costs))
-        assert schedule.worker_loads.shape == (3,)
-
-    def test_speedup_positive(self):
-        schedule = schedule_tasks([1.0] * 10, 5, sync_overhead=0.0)
-        assert schedule.speedup > 1.0
-
-
-class TestSimulatedRun:
-    def test_phases_accumulate(self):
-        run = SimulatedRun(num_workers=4)
-        run.add_phase("transform", [1.0] * 4, sync_overhead=0.0)
-        run.add_phase("tree", [2.0, 2.0], sync_overhead=0.0)
-        assert run.total_time == pytest.approx(1.0 + 2.0)
-        assert set(run.phase_times()) == {"transform", "tree"}
-
-    def test_serial_phase(self):
-        run = SimulatedRun(num_workers=8)
-        phase = run.add_phase("learning", [], serial_time=0.5, sync_overhead=0.0)
-        assert phase.time == pytest.approx(0.5)
-
-
-class TestSplitIntoChunks:
-    def test_sums_to_total(self):
-        assert sum(split_into_chunks(103, 9)) == 103
-
-    def test_chunk_count(self):
-        assert len(split_into_chunks(10, 4)) == 4
-
-    def test_invalid_arguments(self):
-        with pytest.raises(InvalidParameterError):
-            split_into_chunks(-1, 3)
-        with pytest.raises(InvalidParameterError):
-            split_into_chunks(5, 0)
-
-
-@given(st.lists(st.floats(min_value=0.0, max_value=10.0), min_size=0, max_size=50),
-       st.integers(min_value=1, max_value=40))
-@settings(max_examples=60, deadline=None)
-def test_schedule_invariants_property(costs, workers):
-    """Makespan is between total/workers and total, and loads conserve work."""
-    schedule = schedule_tasks(costs, workers, sync_overhead=0.0)
-    total = sum(costs)
-    assert schedule.total_work == pytest.approx(total)
-    assert schedule.makespan <= total + 1e-9
-    assert schedule.makespan >= total / workers - 1e-9
-    if costs:
-        assert schedule.makespan >= max(costs) - 1e-12
 
 
 class TestBackgroundTask:
