@@ -7,6 +7,7 @@ from repro.baselines.serial_scan import SerialScan
 from repro.core.errors import InvalidParameterError
 from repro.datasets.registry import load_dataset
 from repro.evaluation.workloads import METHODS, WorkloadRunner
+from repro.parallel.pool import NUM_WORKERS_ENV
 
 
 @pytest.fixture(scope="module")
@@ -28,6 +29,16 @@ class TestMethodFactory:
     def test_sofa_kwargs_forwarded(self):
         runner = WorkloadRunner(sofa_kwargs={"binning": "equi-depth"})
         assert runner.make_method("SOFA").summarization.binning == "equi-depth"
+
+    def test_tree_indexes_build_with_one_worker(self, monkeypatch):
+        monkeypatch.setenv(NUM_WORKERS_ENV, "4")
+        runner = WorkloadRunner()
+        assert runner.make_method("SOFA").tree.num_workers == 1
+        assert runner.make_method("MESSI").tree.num_workers == 1
+
+    def test_explicit_sofa_num_workers_wins_over_the_pin(self):
+        runner = WorkloadRunner(sofa_kwargs={"num_workers": 2})
+        assert runner.make_method("SOFA").tree.num_workers == 2
 
 
 class TestRunDataset:
@@ -120,3 +131,48 @@ class TestRunDataset:
         pooled = [count for record in result.query_records
                   for count in record.exact_distances]
         assert result.mean_exact_distances("MESSI") == pytest.approx(np.mean(pooled))
+
+    def test_queries_run_on_one_worker_whatever_the_env(self, tiny_workload,
+                                                         monkeypatch):
+        """``REPRO_NUM_WORKERS`` would fan each query out over threads; the
+        runner's records are the 1-worker engine's all the same."""
+        index_set, queries = tiny_workload
+        monkeypatch.setenv(NUM_WORKERS_ENV, "4")
+        runner = WorkloadRunner(leaf_size=30)
+        result = runner.run_dataset(index_set, queries, methods=("MESSI",))
+        messi = runner.make_method("MESSI").build(index_set)
+        expected = [messi.knn(query, k=1, num_workers=1).stats
+                    for query in queries.values]
+        record = result.query_record(index_set.name, "MESSI")
+        assert record.exact_distances == [s.exact_distances for s in expected]
+
+    def test_faiss_charges_every_query_an_equal_share(self, tiny_workload):
+        index_set, queries = tiny_workload
+        result = WorkloadRunner().run_dataset(index_set, queries, methods=("FAISS",))
+        times = result.query_record(index_set.name, "FAISS").query_times
+        assert len(times) == queries.num_series
+        assert len(set(times)) == 1
+        assert times[0] > 0.0
+
+    def test_scan_reports_its_own_distance_count(self, tiny_workload):
+        index_set, queries = tiny_workload
+        runner = WorkloadRunner()
+        result = runner.run_dataset(index_set, queries, methods=("UCR-SUITE",))
+        scan = runner.make_method("UCR-SUITE").build(index_set)
+        expected = [scan.knn(query, k=1).stats.exact_distances
+                    for query in queries.values]
+        record = result.query_record(index_set.name, "UCR-SUITE")
+        assert record.exact_distances == expected
+        assert record.series_lower_bounds == [0] * queries.num_series
+
+    @pytest.mark.parametrize("method", ["SOFA", "MESSI"])
+    def test_larger_k_never_refines_fewer_series(self, tiny_workload, method):
+        """The k-th best-so-far is never below the 1st, so whatever a k-NN
+        query prunes a 1-NN query prunes too."""
+        index_set, queries = tiny_workload
+        result = WorkloadRunner(leaf_size=30).run_dataset(
+            index_set, queries, methods=(method,), k_values=(1, 5))
+        one = result.query_record(index_set.name, method, k=1)
+        five = result.query_record(index_set.name, method, k=5)
+        for fewer, more in zip(one.exact_distances, five.exact_distances):
+            assert fewer <= more

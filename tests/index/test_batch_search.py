@@ -154,3 +154,19 @@ class TestApiAndStats:
             query = znormalize(queries.values[row])
             brute = np.sqrt(np.sort(np.sum((values - query) ** 2, axis=1)))[:4]
             assert np.allclose(np.sort(result.distances), brute, atol=1e-8)
+
+
+class TestMeasuredRoundShares:
+    @pytest.mark.parametrize("threshold", [0.0, np.inf], ids=["tree", "flat"])
+    def test_per_query_shares_sum_within_batch_wall_time(self, built_tree, threshold):
+        """Each query is charged its share of every round it took part in,
+        so the shares of one batch add up to no more than the batch's wall
+        time (which every result carries)."""
+        tree, queries = built_tree
+        batcher = BatchSearcher(tree, flat_refinement_threshold=threshold)
+        results = batcher.knn_batch(queries.values, k=3)
+        walls = {result.stats.wall_time_s for result in results}
+        assert len(walls) == 1
+        wall = walls.pop()
+        assert all(result.stats.refinement_time > 0.0 for result in results)
+        assert sum(result.stats.total_time for result in results) <= wall

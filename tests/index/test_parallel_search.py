@@ -310,3 +310,33 @@ class TestStatsMerging:
         assert stats.exact_distances >= 3
         assert stats.series_lower_bounds >= stats.exact_distances
         assert stats.num_series == index.tree.num_series
+
+
+class TestMeasuredPhaseTimes:
+    """Phase times are wall clock, one pair per phase: every phase of a query
+    lies inside its engine call, so they never sum past ``wall_time_s`` —
+    with several workers too, because the drain is timed once by its caller
+    rather than summed over the work items its workers claimed."""
+
+    @staticmethod
+    def _assert_phases_inside_wall(searcher, queries, num_workers):
+        for query in queries.values[:4]:
+            stats = searcher.knn(query, k=3, num_workers=num_workers).stats
+            assert stats.exact_distances >= 3
+            assert stats.refinement_time > 0.0
+            assert stats.total_time <= stats.wall_time_s
+
+    @pytest.mark.parametrize("label", ["SOFA", "MESSI"])
+    @pytest.mark.parametrize("num_workers", [1, 3])
+    def test_tree_path_phases_fit_inside_wall_time(self, built_indexes, label,
+                                                   num_workers):
+        indexes, queries = built_indexes
+        searcher = ExactSearcher(indexes[label].tree, flat_refinement_threshold=0.0)
+        self._assert_phases_inside_wall(searcher, queries, num_workers)
+
+    @pytest.mark.parametrize("num_workers", [1, 3])
+    def test_flat_path_phases_fit_inside_wall_time(self, built_indexes, num_workers):
+        indexes, queries = built_indexes
+        searcher = ExactSearcher(indexes["SOFA"].tree,
+                                 flat_refinement_threshold=np.inf)
+        self._assert_phases_inside_wall(searcher, queries, num_workers)

@@ -20,6 +20,7 @@ from hypothesis import strategies as st
 
 from repro.datasets.synthetic import random_walk
 from repro.index.dynamic import DynamicIndex
+from repro.index.search import ExactSearcher
 from repro.index.sharded import ShardedIndex
 from repro.index.sofa import SofaIndex
 from repro.obs.trace import Span, Trace
@@ -181,3 +182,32 @@ class TestEngineTracing:
             walls = {result.stats.wall_time_s for result in results}
             assert len(walls) == 1, "every result carries the batch wall"
             assert walls.pop() > 0.0
+
+
+class TestRefinementSpans:
+    @pytest.mark.parametrize("num_workers", [1, 4])
+    def test_tree_refinement_phase_is_the_stats_refinement_time(
+            self, static_engine, num_workers):
+        """On the static tree path the ``refinement`` phase and
+        ``stats.refinement_time`` are one measurement: the queue drain's
+        wall time, whatever the worker count."""
+        searcher = ExactSearcher(static_engine.tree, flat_refinement_threshold=0.0)
+        for query in QUERIES[:4]:
+            trace = Trace()
+            result = searcher.knn(query, k=3, num_workers=num_workers,
+                                  trace=trace)
+            assert (trace.breakdown()["refinement"]
+                    == result.stats.refinement_time)
+
+    @pytest.mark.parametrize("threshold", [0.0, np.inf], ids=["tree", "flat"])
+    @pytest.mark.parametrize("num_workers", [1, 4])
+    def test_refinement_has_no_per_worker_detail(self, static_engine,
+                                                 threshold, num_workers):
+        """Workers time nothing themselves, so the only detail span of an
+        unsharded query is the heap's counters."""
+        searcher = ExactSearcher(static_engine.tree,
+                                 flat_refinement_threshold=threshold)
+        trace = Trace()
+        searcher.knn(QUERIES[0], k=3, num_workers=num_workers, trace=trace)
+        details = [span.name for span in trace.spans if span.kind == "detail"]
+        assert details == ["heap"]

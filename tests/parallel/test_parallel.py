@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core.errors import InvalidParameterError
 from repro.parallel.pool import (
@@ -22,6 +24,15 @@ class TestChunkIndices:
 
     def test_sizes_differ_by_at_most_one(self):
         sizes = [chunk.size for chunk in chunk_indices(100, 7)]
+        assert max(sizes) - min(sizes) <= 1
+
+    @given(total=st.integers(0, 500), num_chunks=st.integers(1, 40))
+    @settings(max_examples=60, deadline=None)
+    def test_chunks_are_contiguous_ordered_and_balanced(self, total, num_chunks):
+        chunks = chunk_indices(total, num_chunks)
+        assert len(chunks) == num_chunks
+        assert np.array_equal(np.concatenate(chunks), np.arange(total))
+        sizes = [chunk.size for chunk in chunks]
         assert max(sizes) - min(sizes) <= 1
 
     def test_invalid_arguments(self):
