@@ -5,8 +5,8 @@ The package implements the SymbOlic Fourier Approximation index (SOFA) from
 together with every substrate it depends on: the SFA and iSAX summarizations,
 the MESSI-style tree index, the GEMINI exact-search engine, SIMD-style
 lower-bound kernels, scan and brute-force baselines, synthetic stand-ins for
-the paper's 17-dataset benchmark, and the evaluation machinery (TLB, pruning
-power, critical-difference ranks, measured build-and-query workloads).
+the paper's 17-dataset benchmark, and the evaluation machinery (TLB,
+critical-difference ranks, measured build-and-query workloads).
 
 Quickstart
 ----------
@@ -33,15 +33,12 @@ from repro.core import (
     tightness_of_lower_bound,
     znormalize,
     znormalize_batch,
-    znormalized_euclidean,
 )
 from repro.datasets import (
     dataset_names,
     generate_ucr_like_suite,
     high_frequency_names,
-    load_benchmark_suite,
     load_dataset,
-    perturbed_queries,
     split_queries,
 )
 from repro.evaluation import WorkloadRunner, critical_difference, evaluate_tlb, tlb_study
@@ -104,10 +101,8 @@ __all__ = [
     "generate_ucr_like_suite",
     "get_registry",
     "high_frequency_names",
-    "load_benchmark_suite",
     "load_dataset",
     "load_index",
-    "perturbed_queries",
     "save_index",
     "split_queries",
     "squared_euclidean",
@@ -115,5 +110,4 @@ __all__ = [
     "tlb_study",
     "znormalize",
     "znormalize_batch",
-    "znormalized_euclidean",
 ]

@@ -6,7 +6,6 @@ from repro.core.distance import (
     squared_euclidean,
     squared_euclidean_batch,
     squared_euclidean_early_abandon,
-    znormalized_euclidean,
 )
 from repro.core.errors import (
     CorruptionError,
@@ -28,7 +27,6 @@ from repro.core.errors import (
 )
 from repro.core.lower_bounds import (
     check_lower_bound_property,
-    pruning_power,
     tightness_of_lower_bound,
 )
 from repro.core.normalization import is_znormalized, znormalize, znormalize_batch
@@ -65,7 +63,6 @@ __all__ = [
     "euclidean",
     "is_znormalized",
     "pairwise_squared_euclidean",
-    "pruning_power",
     "scalar_lower_bound",
     "squared_euclidean",
     "squared_euclidean_batch",
@@ -74,5 +71,4 @@ __all__ = [
     "vectorized_lower_bound",
     "znormalize",
     "znormalize_batch",
-    "znormalized_euclidean",
 ]

@@ -5,7 +5,6 @@ preserving); public query APIs report true Euclidean distances.  The kernels
 here implement:
 
 * plain squared Euclidean distance between two series,
-* the z-normalized Euclidean distance of Definition 2,
 * an early-abandoning variant used during exact-search refinement, and
 * batched one-against-many distances used by the brute-force baselines.
 """
@@ -13,8 +12,6 @@ here implement:
 from __future__ import annotations
 
 import numpy as np
-
-from repro.core.normalization import znormalize
 
 
 def squared_euclidean(a: np.ndarray, b: np.ndarray) -> float:
@@ -30,15 +27,6 @@ def squared_euclidean(a: np.ndarray, b: np.ndarray) -> float:
 def euclidean(a: np.ndarray, b: np.ndarray) -> float:
     """Euclidean distance between two equal-length series."""
     return float(np.sqrt(squared_euclidean(a, b)))
-
-
-def znormalized_euclidean(a: np.ndarray, b: np.ndarray) -> float:
-    """z-normalized Euclidean distance of Definition 2.
-
-    Both series are z-normalized independently before the plain Euclidean
-    distance is computed.
-    """
-    return euclidean(znormalize(a), znormalize(b))
 
 
 def squared_euclidean_early_abandon(a: np.ndarray, b: np.ndarray, threshold: float,

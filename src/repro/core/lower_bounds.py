@@ -1,11 +1,8 @@
-"""Lower-bound quality metrics: tightness of lower bound and pruning power.
+"""Lower-bound quality metrics: tightness of lower bound and the bound check.
 
 The ablation study of the paper (Section V-E) ranks summarization techniques by
 the *tightness of lower bound* (TLB), defined as the lower-bounding distance
-divided by the true distance; it lies in ``[0, 1]`` and higher is better.  The
-paper also reports *pruning power*: the fraction of candidate series whose
-lower bound already exceeds the true nearest-neighbour distance and which can
-therefore be skipped without computing their exact distance.
+divided by the true distance; it lies in ``[0, 1]`` and higher is better.
 """
 
 from __future__ import annotations
@@ -31,25 +28,6 @@ def tightness_of_lower_bound(lower_bounds: np.ndarray, true_distances: np.ndarra
     # Floating-point noise can push a valid lower bound epsilon above the true
     # distance; clip so the metric stays in [0, 1].
     return float(np.clip(ratios, 0.0, 1.0).mean())
-
-
-def pruning_power(lower_bounds: np.ndarray, true_distances: np.ndarray,
-                  threshold: float | None = None) -> float:
-    """Fraction of candidates pruned by their lower bound.
-
-    A candidate is pruned when its lower bound exceeds ``threshold``.  When no
-    threshold is given, the true nearest-neighbour distance (the minimum of
-    ``true_distances``) is used, which models a perfectly warmed-up best-so-far.
-    """
-    lower_bounds = np.asarray(lower_bounds, dtype=np.float64)
-    true_distances = np.asarray(true_distances, dtype=np.float64)
-    if lower_bounds.shape != true_distances.shape:
-        raise ValueError("lower_bounds and true_distances must have the same shape")
-    if lower_bounds.size == 0:
-        return 0.0
-    if threshold is None:
-        threshold = float(true_distances.min())
-    return float(np.mean(lower_bounds > threshold))
 
 
 def check_lower_bound_property(lower_bounds: np.ndarray, true_distances: np.ndarray,

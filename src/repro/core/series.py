@@ -148,19 +148,6 @@ class Dataset:
     def __getitem__(self, index: int) -> np.ndarray:
         return self.values[index]
 
-    def sample(self, fraction: float, rng: np.random.Generator | None = None) -> np.ndarray:
-        """Return a random row subsample of the dataset values.
-
-        This is the sampling step of MCB (Algorithm 1).  At least one series is
-        always returned.
-        """
-        if not 0.0 < fraction <= 1.0:
-            raise DatasetError(f"sampling fraction must be in (0, 1], got {fraction}")
-        rng = rng or np.random.default_rng(0)
-        count = max(1, int(round(fraction * self.num_series)))
-        indices = rng.choice(self.num_series, size=min(count, self.num_series), replace=False)
-        return self.values[np.sort(indices)]
-
     def split(self, num_queries: int, rng: np.random.Generator | None = None
               ) -> tuple["Dataset", "Dataset"]:
         """Split into an indexing set and a held-out query set.
@@ -181,16 +168,3 @@ class Dataset:
         query_set = Dataset(self.values[np.sort(query_rows)], name=f"{self.name}-queries",
                             normalize=False, metadata=dict(self.metadata))
         return index_set, query_set
-
-    def describe(self) -> dict:
-        """Return summary statistics used by the Figure 1 style analysis."""
-        flat = self.values.ravel()
-        return {
-            "name": self.name,
-            "num_series": self.num_series,
-            "series_length": self.series_length,
-            "mean": float(flat.mean()),
-            "std": float(flat.std()),
-            "min": float(flat.min()),
-            "max": float(flat.max()),
-        }

@@ -1,13 +1,12 @@
 """Synthetic stand-ins for the paper's benchmark datasets and query sets."""
 
-from repro.datasets.queries import perturbed_queries, split_queries
+from repro.datasets.queries import split_queries
 from repro.datasets.registry import (
     DATASET_SPECS,
     DatasetSpec,
     dataset_names,
     get_spec,
     high_frequency_names,
-    load_benchmark_suite,
     load_dataset,
 )
 from repro.datasets.synthetic import (
@@ -32,11 +31,9 @@ __all__ = [
     "generate_ucr_like_suite",
     "get_spec",
     "high_frequency_names",
-    "load_benchmark_suite",
     "load_dataset",
     "mixed_frequency",
     "oscillatory",
-    "perturbed_queries",
     "random_walk",
     "red_noise",
     "seismic_events",

@@ -1,21 +1,14 @@
 """Query-set generation.
 
 The paper pairs every dataset with 100 held-out query series that are never
-indexed.  Two strategies are supported here:
-
-* ``split``   — hold out rows of the generated dataset (the default; it is
-  what the paper does with the real collections);
-* ``perturb`` — create queries by adding noise to randomly chosen indexed
-  series, which produces queries whose nearest neighbour is known by
-  construction and is useful for correctness tests.
+indexed; :func:`split_queries` holds out rows of the generated dataset, which
+is what the paper does with the real collections.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from repro.core.errors import DatasetError
-from repro.core.normalization import znormalize_batch
 from repro.core.series import Dataset
 
 
@@ -23,25 +16,3 @@ def split_queries(dataset: Dataset, num_queries: int = 100,
                   seed: int = 0) -> tuple[Dataset, Dataset]:
     """Hold out ``num_queries`` rows as the query set; return (index, queries)."""
     return dataset.split(num_queries, rng=np.random.default_rng(seed))
-
-
-def perturbed_queries(dataset: Dataset, num_queries: int = 100, noise_level: float = 0.1,
-                      seed: int = 0) -> tuple[Dataset, np.ndarray]:
-    """Queries built by perturbing random indexed series.
-
-    Returns ``(queries, source_rows)`` where ``source_rows[i]`` is the row of
-    ``dataset`` that query ``i`` was derived from.  With small ``noise_level``
-    the source row is almost always the exact nearest neighbour, which gives
-    the tests a ground truth that does not require a brute-force scan.
-    """
-    if num_queries < 1:
-        raise DatasetError("num_queries must be >= 1")
-    if noise_level < 0:
-        raise DatasetError("noise_level must be non-negative")
-    rng = np.random.default_rng(seed)
-    rows = rng.integers(0, dataset.num_series, size=num_queries)
-    base = dataset.values[rows]
-    noisy = base + noise_level * rng.standard_normal(base.shape)
-    queries = Dataset(znormalize_batch(noisy), name=f"{dataset.name}-perturbed-queries",
-                      normalize=False)
-    return queries, rows

@@ -16,8 +16,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-import numpy as np
-
 from repro.core.errors import DatasetError
 from repro.core.series import Dataset
 from repro.datasets.synthetic import GENERATORS, clustered
@@ -141,17 +139,6 @@ def load_dataset(name: str, num_series: int | None = None, seed: int = 0,
                  normalize: bool = True) -> Dataset:
     """Generate the scaled-down stand-in for one of the 17 paper datasets."""
     return get_spec(name).generate(num_series=num_series, seed=seed, normalize=normalize)
-
-
-def load_benchmark_suite(num_series: int | None = None, seed: int = 0,
-                         names: "list[str] | None" = None) -> dict[str, Dataset]:
-    """Generate every registered dataset (optionally restricted to ``names``)."""
-    selected = names or dataset_names()
-    suite = {}
-    for offset, name in enumerate(selected):
-        suite[name] = load_dataset(name, num_series=num_series,
-                                   seed=seed + offset)
-    return suite
 
 
 def high_frequency_names() -> list[str]:

@@ -1,6 +1,5 @@
-"""Evaluation substrate: TLB, pruning power, timing, ranks, workload runner."""
+"""Evaluation substrate: TLB, per-query timings, ranks, table output, workload runner."""
 
-from repro.evaluation.pruning import PruningRecord, evaluate_pruning_power
 from repro.evaluation.ranks import (
     CriticalDifferenceResult,
     compute_average_ranks,
@@ -9,8 +8,8 @@ from repro.evaluation.ranks import (
     holm_correction,
     wilcoxon_pvalue,
 )
-from repro.evaluation.reporting import format_milliseconds, format_table, relative_to_baseline
-from repro.evaluation.timing import QueryTimings, Timer
+from repro.evaluation.reporting import format_table
+from repro.evaluation.timing import QueryTimings
 from repro.evaluation.tlb import (
     ABLATION_METHODS,
     TlbRecord,
@@ -32,24 +31,19 @@ __all__ = [
     "BuildRecord",
     "CriticalDifferenceResult",
     "METHODS",
-    "PruningRecord",
     "QueryRecord",
     "QueryTimings",
-    "Timer",
     "TlbRecord",
     "WorkloadResult",
     "WorkloadRunner",
     "compute_average_ranks",
     "critical_difference",
-    "evaluate_pruning_power",
     "evaluate_tlb",
-    "format_milliseconds",
     "format_table",
     "friedman_test",
     "holm_correction",
     "make_ablation_method",
     "mean_tlb_table",
-    "relative_to_baseline",
     "tlb_study",
     "wilcoxon_pvalue",
 ]

@@ -43,18 +43,3 @@ def format_table(headers: Sequence[str], rows: Iterable[Sequence], title: str | 
     lines.append("-+-".join("-" * width for width in widths))
     lines.extend(render_line(row) for row in rendered_rows)
     return "\n".join(lines)
-
-
-def format_milliseconds(seconds: float) -> str:
-    """Seconds → a millisecond string, the unit of Tables II-IV."""
-    return f"{1000.0 * seconds:.1f} ms"
-
-
-def relative_to_baseline(times: "dict[str, float]", baseline: str) -> dict[str, float]:
-    """Express every method's time as a fraction of the baseline (Figure 12)."""
-    if baseline not in times:
-        raise KeyError(f"baseline '{baseline}' missing from {sorted(times)}")
-    reference = times[baseline]
-    if reference <= 0:
-        raise ValueError("baseline time must be positive")
-    return {method: value / reference for method, value in times.items()}

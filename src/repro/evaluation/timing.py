@@ -1,32 +1,10 @@
-"""Timing helpers used by the workload runner and the benchmarks."""
+"""Per-query timing summaries used by the workload runner and the benchmarks."""
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass, field
 
 import numpy as np
-
-
-class Timer:
-    """A context manager measuring wall-clock time in seconds.
-
-    >>> with Timer() as timer:
-    ...     _ = sum(range(1000))
-    >>> timer.elapsed >= 0.0
-    True
-    """
-
-    def __init__(self) -> None:
-        self.elapsed = 0.0
-        self._start = 0.0
-
-    def __enter__(self) -> "Timer":
-        self._start = time.perf_counter()
-        return self
-
-    def __exit__(self, *exc_info) -> None:
-        self.elapsed = time.perf_counter() - self._start
 
 
 @dataclass

@@ -5,11 +5,10 @@ Two engines answer exact k-NN queries over a built
 :class:`~repro.index.tree.TreeIndex`:
 
 * :class:`~repro.index.search.ExactSearcher` — one query at a time, the
-  paper's exploratory-analysis scenario (``knn`` / ``nearest_neighbor`` /
-  ``approximate_knn``).  ``knn(..., num_workers=n)`` drains the query's own
-  surviving-leaf queue with ``n`` threads against a shared best-so-far
-  (MESSI-style intra-query parallelism); answers are bit-identical for
-  every worker count.
+  paper's exploratory-analysis scenario (``knn`` / ``nearest_neighbor``).
+  ``knn(..., num_workers=n)`` drains the query's own surviving-leaf queue
+  with ``n`` threads against a shared best-so-far (MESSI-style intra-query
+  parallelism); answers are bit-identical for every worker count.
 * :class:`~repro.index.batch_search.BatchSearcher` — whole query workloads at
   once (``knn_batch``).  It vectorizes the lower-bound kernels and distance
   GEMMs across queries as well as candidates, so throughput-oriented

@@ -131,15 +131,6 @@ class TreeFacade:
                                                       num_workers=num_workers,
                                                       timeout_s=timeout_s)
 
-    def approximate_knn(self, query: np.ndarray, k: int = 1,
-                        max_refined_series: int = 256) -> SearchResult:
-        """Approximate k nearest neighbours (refine only the best candidates).
-
-        See :meth:`repro.index.search.ExactSearcher.approximate_knn`.
-        """
-        return self._require_built().approximate_knn(query, k=k,
-                                                     max_refined_series=max_refined_series)
-
     def knn_batch(self, queries: np.ndarray, k: int = 1,
                   num_workers: "int | None" = None,
                   timeout_s: "float | None" = None) -> "list[SearchResult]":

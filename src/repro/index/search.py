@@ -205,9 +205,8 @@ def validated_queries(queries: np.ndarray, expected_length: int) -> np.ndarray:
     return queries
 
 
-def validated_count(value, name: str = "k") -> int:
-    """Validate an integer count parameter (``k``, refinement budgets) at the
-    API boundary.
+def validated_count(value) -> int:
+    """Validate the neighbour count ``k`` at the API boundary.
 
     Raises a typed :class:`~repro.core.errors.ValidationError` on
     non-integral values (``"3"``, ``2.5``) — never a bare ``TypeError`` from
@@ -218,11 +217,11 @@ def validated_count(value, name: str = "k") -> int:
         value = operator.index(value)
     except TypeError:
         raise ValidationError(
-            f"{name} must be an integer, got {value!r} of type "
+            f"k must be an integer, got {value!r} of type "
             f"{type(value).__name__}"
         ) from None
     if value < 1:
-        raise SearchError(f"{name} must be >= 1, got {value}")
+        raise SearchError(f"k must be >= 1, got {value}")
     return value
 
 
@@ -462,28 +461,19 @@ class ExactSearcher:
         answers over *tree ∪ delta − tombstones*: the delta is refined as an
         extra pseudo-leaf and tombstoned rows are masked out of every
         refinement step.
-    early_abandon_length:
-        Series length at which refinement switches to the blocked
-        early-abandoning ED kernel
-        (:func:`~repro.core.distance.squared_euclidean_batch_abandon`);
-        ``None`` keeps the default :data:`EARLY_ABANDON_MIN_LENGTH`.
     """
 
     def __init__(self, index: TreeIndex, normalize_queries: bool = True,
                  flat_refinement_threshold: float = FLAT_REFINEMENT_THRESHOLD,
-                 delta_source=None,
-                 early_abandon_length: int | None = None) -> None:
+                 delta_source=None) -> None:
         if not index.is_built:
             raise SearchError("the index must be built before searching")
         self.index = index
         self.normalize_queries = normalize_queries
         self._delta_source = delta_source
         self.flat_refinement_threshold = flat_refinement_threshold
-        self.early_abandon_length = (EARLY_ABANDON_MIN_LENGTH
-                                     if early_abandon_length is None
-                                     else early_abandon_length)
         self._early_abandon = (
-            index.dataset.series_length >= self.early_abandon_length)
+            index.dataset.series_length >= EARLY_ABANDON_MIN_LENGTH)
         self._batch_searcher = None
         self._intra_pools: dict[int, WorkerPool] = {}
         self._intra_pools_lock = threading.Lock()
@@ -700,61 +690,6 @@ class ExactSearcher:
         return self.knn(query, k=1, num_workers=num_workers,
                         timeout_s=timeout_s)
 
-    def approximate_knn(self, query: np.ndarray, k: int = 1,
-                        max_refined_series: int = 256) -> SearchResult:
-        """Approximate k-NN: refine only the most promising candidates.
-
-        The paper lists approximate search with SFA as future work; this method
-        implements the natural variant: the query descends to its own leaf (the
-        same first step as exact search), and then only the
-        ``max_refined_series`` candidates with the smallest per-series lower
-        bounds are refined with true distances.  The answer is not guaranteed
-        to be exact, but the candidates are chosen by the same lower bounds
-        that drive exact pruning, so recall is high when the summarization is
-        tight.  Increasing ``max_refined_series`` trades time for recall and
-        converges to the exact answer at ``max_refined_series >= num_series``.
-        """
-        wall_start = time.perf_counter()
-        k = validated_count(k)
-        max_refined_series = validated_count(max_refined_series,
-                                             "max_refined_series")
-        if max_refined_series < k:
-            raise SearchError("max_refined_series must be at least k")
-        if self._delta_source is not None and self._delta_source() is not None:
-            raise SearchError(
-                "approximate_knn does not answer over a pending dynamic delta; "
-                "compact() the index first"
-            )
-        query = validated_query(query, self.index.dataset.series_length)
-        if self.normalize_queries:
-            query = znormalize(query)
-
-        summarization = self.index.summarization
-        query_summary = summarization.transform(query)
-
-        stats = SearchStats(num_series=self.index.num_series)
-        heap = BestSoFar(k)
-
-        start = time.perf_counter()
-        bounds, rows = self.index.all_series_lower_bounds(query_summary)
-        budget = min(max_refined_series, bounds.shape[0])
-        candidates = np.argpartition(bounds, budget - 1)[:budget]
-        candidates = candidates[np.argsort(bounds[candidates])]
-        stats.series_lower_bounds += bounds.shape[0]
-        stats.traversal_time = time.perf_counter() - start
-
-        start = time.perf_counter()
-        candidate_rows = rows[candidates]
-        squared = squared_euclidean_batch(query, self.index.dataset.values[candidate_rows])
-        stats.exact_distances += candidate_rows.shape[0]
-        heap.offer_block(squared, candidate_rows)
-        stats.refinement_time = time.perf_counter() - start
-
-        rows_ = np.array([index for _, index in heap.sorted_items()], dtype=np.int64)
-        result = finalize_result(query, self.index.dataset.values, rows_, stats)
-        result.stats.wall_time_s = time.perf_counter() - wall_start
-        return result
-
     def knn_batch(self, queries: np.ndarray, k: int = 1,
                   num_workers: "int | None" = None,
                   timeout_s: "float | None" = None) -> list[SearchResult]:
@@ -928,7 +863,7 @@ class ExactSearcher:
                      threshold: float) -> np.ndarray:
         """True squared distances of one refinement block.
 
-        Long series (``early_abandon_length`` and up) use the blocked
+        Long series (:data:`EARLY_ABANDON_MIN_LENGTH` and up) use the blocked
         early-abandoning kernel: rows whose partial sum already exceeds the
         best-so-far stop accumulating, and their (already disqualifying)
         partial sums are dropped by the heap's ``<= threshold`` pre-filter.

@@ -277,7 +277,3 @@ class WorkerPool:
         if errors:
             raise self._first_error(errors)
         return states
-
-    def starmap(self, function: Callable[..., R], argument_tuples: Iterable[tuple]) -> list[R]:
-        """Apply ``function`` to every argument tuple, preserving order."""
-        return self.map(lambda arguments: function(*arguments), list(argument_tuples))

@@ -1,11 +1,8 @@
-"""Summarization techniques: PAA, DFT, SAX/iSAX, SFA and related-work baselines."""
+"""Summarization techniques: PAA, DFT, SAX/iSAX and SFA."""
 
-from repro.transforms.apca import APCA, apca_transform
 from repro.transforms.base import Summarization, SymbolicSummarization
-from repro.transforms.chebyshev import Chebyshev
 from repro.transforms.dft import DFT, component_weights, rfft_components
 from repro.transforms.paa import PAA, paa_transform, paa_transform_batch
-from repro.transforms.pla import PLA, pla_transform
 from repro.transforms.quantization import (
     BINNING_SCHEMES,
     HierarchicalBins,
@@ -13,29 +10,23 @@ from repro.transforms.quantization import (
     equi_width_breakpoints,
     gaussian_breakpoints,
 )
-from repro.transforms.sax import SAX, isax_mindist
+from repro.transforms.sax import SAX
 from repro.transforms.sfa import SFA
 
 __all__ = [
-    "APCA",
     "BINNING_SCHEMES",
-    "Chebyshev",
     "DFT",
     "HierarchicalBins",
     "PAA",
-    "PLA",
     "SAX",
     "SFA",
     "Summarization",
     "SymbolicSummarization",
-    "apca_transform",
     "component_weights",
     "equi_depth_breakpoints",
     "equi_width_breakpoints",
     "gaussian_breakpoints",
-    "isax_mindist",
     "paa_transform",
     "paa_transform_batch",
-    "pla_transform",
     "rfft_components",
 ]

@@ -2,9 +2,8 @@
 
 Two families of summarizations are used in the paper:
 
-* *numeric* summarizations (PAA, DFT, APCA, PLA, Chebyshev) map a series to a
-  short vector of real values and provide a lower bound between two such
-  vectors;
+* *numeric* summarizations (PAA, DFT) map a series to a short vector of real
+  values and provide a lower bound between two such vectors;
 * *symbolic* summarizations (iSAX, SFA) additionally quantize the numeric
   summary into a small-alphabet word and provide a lower bound between the
   numeric summary of a query and the symbolic word of a candidate (the
@@ -140,7 +139,3 @@ class SymbolicSummarization(Summarization):
         lower, upper = self.bins.intervals(words)
         return batch_lower_bound(query_summary, lower, upper, self.weights)
 
-    def lower_bound_to_word(self, query_summary: np.ndarray, word: np.ndarray,
-                            cardinality_bits: np.ndarray | int | None = None) -> float:
-        """Euclidean (non-squared) lower bound between a summary and a word."""
-        return float(np.sqrt(self.mindist(query_summary, word, cardinality_bits)))

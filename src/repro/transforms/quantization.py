@@ -179,22 +179,6 @@ class HierarchicalBins:
 
     # ------------------------------------------------------ symbol handling
 
-    def breakpoints_at(self, cardinality_bits: int) -> np.ndarray:
-        """Breakpoints for the coarser cardinality ``2**cardinality_bits``.
-
-        Returns an array of shape ``(dims, 2**cardinality_bits − 1)``.  At zero
-        bits there are no breakpoints (a single all-covering bin).
-        """
-        self._require_fitted()
-        if not 0 <= cardinality_bits <= self.bits:
-            raise InvalidParameterError(
-                f"cardinality_bits must be in [0, {self.bits}], got {cardinality_bits}"
-            )
-        if cardinality_bits == 0:
-            return np.empty((self._breakpoints.shape[0], 0), dtype=np.float64)
-        stride = 1 << (self.bits - cardinality_bits)
-        return self._breakpoints[:, stride - 1::stride]
-
     def symbols(self, values: np.ndarray) -> np.ndarray:
         """Quantize numeric summaries to full-resolution integer symbols.
 

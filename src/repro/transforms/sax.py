@@ -138,9 +138,3 @@ class SAX(SymbolicSummarization):
         if alphabet is not None:
             return "".join(alphabet[symbol] for symbol in word)
         return "-".join(str(int(symbol)) for symbol in word)
-
-
-def isax_mindist(paa_summary: np.ndarray, word: np.ndarray, sax: SAX,
-                 cardinality_bits: np.ndarray | int | None = None) -> float:
-    """Convenience wrapper: Euclidean (non-squared) iSAX mindist."""
-    return sax.lower_bound_to_word(paa_summary, word, cardinality_bits)

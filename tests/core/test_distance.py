@@ -13,9 +13,7 @@ from repro.core.distance import (
     squared_euclidean_batch,
     squared_euclidean_batch_abandon,
     squared_euclidean_early_abandon,
-    znormalized_euclidean,
 )
-from repro.core.normalization import znormalize
 
 
 class TestSquaredEuclidean:
@@ -41,20 +39,6 @@ class TestSquaredEuclidean:
         rng = np.random.default_rng(1)
         a, b = rng.standard_normal((2, 16))
         assert euclidean(a, b) == pytest.approx(np.sqrt(squared_euclidean(a, b)))
-
-
-class TestZnormalizedEuclidean:
-    def test_matches_definition(self):
-        rng = np.random.default_rng(2)
-        a, b = rng.standard_normal((2, 64))
-        expected = euclidean(znormalize(a), znormalize(b))
-        assert znormalized_euclidean(a, b) == pytest.approx(expected)
-
-    def test_invariant_to_scaling_and_shifting(self):
-        rng = np.random.default_rng(3)
-        a, b = rng.standard_normal((2, 64))
-        assert znormalized_euclidean(a, b) == pytest.approx(
-            znormalized_euclidean(3 * a + 5, 0.5 * b - 2))
 
 
 class TestEarlyAbandon:

@@ -5,7 +5,6 @@ import pytest
 
 from repro.core.lower_bounds import (
     check_lower_bound_property,
-    pruning_power,
     tightness_of_lower_bound,
 )
 
@@ -39,31 +38,6 @@ class TestTightness:
     def test_shape_mismatch_raises(self):
         with pytest.raises(ValueError):
             tightness_of_lower_bound(np.zeros(3), np.zeros(4))
-
-
-class TestPruningPower:
-    def test_all_pruned(self):
-        lower = np.array([5.0, 6.0, 7.0, 0.5])
-        true = np.array([9.0, 9.0, 9.0, 1.0])
-        # Threshold defaults to min(true) = 1.0; the last candidate is the NN.
-        assert pruning_power(lower, true) == pytest.approx(0.75)
-
-    def test_nothing_pruned_with_zero_lower_bounds(self):
-        lower = np.zeros(10)
-        true = np.linspace(1, 10, 10)
-        assert pruning_power(lower, true) == 0.0
-
-    def test_explicit_threshold(self):
-        lower = np.array([1.0, 2.0, 3.0])
-        true = np.array([4.0, 4.0, 4.0])
-        assert pruning_power(lower, true, threshold=1.5) == pytest.approx(2 / 3)
-
-    def test_empty_input(self):
-        assert pruning_power(np.array([]), np.array([])) == 0.0
-
-    def test_shape_mismatch_raises(self):
-        with pytest.raises(ValueError):
-            pruning_power(np.zeros(2), np.zeros(3))
 
 
 class TestLowerBoundProperty:

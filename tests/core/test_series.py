@@ -52,38 +52,6 @@ class TestAccessors:
         assert len(dataset) == small_matrix.shape[0]
         assert dataset[0].shape == (small_matrix.shape[1],)
 
-    def test_describe_contains_expected_keys(self, small_matrix):
-        info = Dataset(small_matrix, name="toy").describe()
-        assert info["name"] == "toy"
-        assert info["num_series"] == small_matrix.shape[0]
-        assert info["series_length"] == small_matrix.shape[1]
-        assert set(info) >= {"mean", "std", "min", "max"}
-
-
-class TestSample:
-    def test_sample_size(self, walk_dataset):
-        sample = walk_dataset.sample(0.1, rng=np.random.default_rng(0))
-        assert sample.shape[0] == max(1, round(0.1 * walk_dataset.num_series))
-
-    def test_sample_full_fraction_returns_everything(self, walk_dataset):
-        sample = walk_dataset.sample(1.0, rng=np.random.default_rng(0))
-        assert sample.shape == walk_dataset.values.shape
-
-    def test_tiny_fraction_returns_at_least_one(self, walk_dataset):
-        sample = walk_dataset.sample(1e-9, rng=np.random.default_rng(0))
-        assert sample.shape[0] == 1
-
-    def test_invalid_fraction_raises(self, walk_dataset):
-        with pytest.raises(DatasetError):
-            walk_dataset.sample(0.0)
-        with pytest.raises(DatasetError):
-            walk_dataset.sample(1.5)
-
-    def test_sample_rows_come_from_dataset(self, walk_dataset):
-        sample = walk_dataset.sample(0.2, rng=np.random.default_rng(1))
-        for row in sample:
-            assert any(np.allclose(row, existing) for existing in walk_dataset.values)
-
 
 class TestSplit:
     def test_split_sizes(self, walk_dataset):

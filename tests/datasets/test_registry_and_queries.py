@@ -4,13 +4,12 @@ import numpy as np
 import pytest
 
 from repro.core.errors import DatasetError
-from repro.datasets.queries import perturbed_queries, split_queries
+from repro.datasets.queries import split_queries
 from repro.datasets.registry import (
     DATASET_SPECS,
     dataset_names,
     get_spec,
     high_frequency_names,
-    load_benchmark_suite,
     load_dataset,
 )
 from repro.datasets.ucr import generate_ucr_like_suite
@@ -70,11 +69,6 @@ class TestRegistry:
         dataset = spec.generate(num_series=100, clustered_data=False)
         assert dataset.num_series == 100
 
-    def test_load_benchmark_suite_subset(self):
-        suite = load_benchmark_suite(num_series=60, names=["LenDB", "SALD"])
-        assert set(suite) == {"LenDB", "SALD"}
-        assert all(dataset.num_series == 60 for dataset in suite.values())
-
     def test_metadata_is_attached(self):
         dataset = load_dataset("SIFT1b", num_series=50)
         assert dataset.metadata["domain"] == "vectors"
@@ -114,22 +108,3 @@ class TestQueries:
         index_set, queries = split_queries(dataset, num_queries=25)
         assert queries.num_series == 25
         assert index_set.num_series == 175
-
-    def test_perturbed_queries_have_known_neighbours(self):
-        dataset = load_dataset("PNW", num_series=300, seed=2)
-        queries, sources = perturbed_queries(dataset, num_queries=15, noise_level=0.05)
-        assert queries.num_series == 15
-        assert sources.shape == (15,)
-        from repro.baselines.serial_scan import SerialScan
-
-        scan = SerialScan().build(dataset)
-        hits = sum(1 for row, query in zip(sources, queries.values)
-                   if scan.nearest_neighbor(query)[0] == row)
-        assert hits >= 12  # low noise: the source row is almost always the 1-NN
-
-    def test_perturbed_queries_validation(self):
-        dataset = load_dataset("PNW", num_series=50)
-        with pytest.raises(DatasetError):
-            perturbed_queries(dataset, num_queries=0)
-        with pytest.raises(DatasetError):
-            perturbed_queries(dataset, noise_level=-0.1)

@@ -1,11 +1,10 @@
-"""Tests for the TLB ablation machinery and pruning-power evaluation."""
+"""Tests for the TLB ablation machinery."""
 
 import numpy as np
 import pytest
 
 from repro.core.series import Dataset
 from repro.datasets.synthetic import oscillatory
-from repro.evaluation.pruning import evaluate_pruning_power
 from repro.evaluation.tlb import (
     ABLATION_METHODS,
     evaluate_tlb,
@@ -94,19 +93,3 @@ class TestTlbStudy:
         assert set(table["iSAX"]) == {8}
         expected = np.mean([record.tlb for record in records])
         assert table["iSAX"][8] == pytest.approx(expected)
-
-
-class TestPruningPower:
-    def test_pruning_power_in_unit_interval(self, train_and_queries):
-        train, queries = train_and_queries
-        power = evaluate_pruning_power(SFA(word_length=16, sample_fraction=1.0),
-                                       train, queries)
-        assert 0.0 <= power <= 1.0
-
-    def test_sfa_prunes_more_than_sax_on_high_frequency_data(self, train_and_queries):
-        train, queries = train_and_queries
-        sfa_power = evaluate_pruning_power(SFA(word_length=16, alphabet_size=64,
-                                               sample_fraction=1.0), train, queries)
-        sax_power = evaluate_pruning_power(SAX(word_length=16, alphabet_size=64),
-                                           train, queries)
-        assert sfa_power >= sax_power

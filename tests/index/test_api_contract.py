@@ -160,17 +160,6 @@ class TestTypedKValidation:
         with pytest.raises(ValidationError):
             dynamic_index.knn_batch(query[None, :], k=bad_k)
 
-    @pytest.mark.parametrize("bad_k", ["3", 2.5])
-    def test_approximate_knn_rejects_non_integral_k(self, sofa_index, query,
-                                                    bad_k):
-        with pytest.raises(ValidationError):
-            sofa_index.approximate_knn(query, k=bad_k)
-
-    def test_approximate_knn_rejects_bad_budget(self, sofa_index, query):
-        with pytest.raises(ValidationError,
-                           match="max_refined_series must be an integer"):
-            sofa_index.approximate_knn(query, k=1, max_refined_series=2.5)
-
     def test_out_of_range_k_keeps_search_error(self, sofa_index, messi_index,
                                                query):
         for index in (sofa_index, messi_index):

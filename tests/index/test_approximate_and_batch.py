@@ -1,18 +1,8 @@
-"""Tests for the approximate-search mode and the batch-query helper.
-
-Approximate similarity search with SFA is listed as future work in the paper;
-the library ships the natural variant (refine only the candidates with the
-smallest lower bounds).  These tests pin down its contract: high recall on
-clustered data, convergence to the exact answer as the refinement budget
-grows, and strictly less refinement work than exact search.
-"""
+"""Tests for the index facades' ``knn_batch`` helper."""
 
 import numpy as np
 import pytest
 
-from repro.baselines.serial_scan import SerialScan
-from repro.core.errors import SearchError
-from repro.index.messi import MessiIndex
 from repro.index.sofa import SofaIndex
 
 
@@ -20,58 +10,6 @@ from repro.index.sofa import SofaIndex
 def built_index(clustered_index_and_queries):
     index_set, queries = clustered_index_and_queries
     return SofaIndex(leaf_size=40).build(index_set), index_set, queries
-
-
-class TestApproximateSearch:
-    def test_high_recall_on_clustered_data(self, built_index):
-        index, index_set, queries = built_index
-        scan = SerialScan().build(index_set)
-        hits = 0
-        for query in queries.values:
-            exact_index, _ = scan.nearest_neighbor(query)
-            approximate = index.approximate_knn(query, k=1, max_refined_series=64)
-            hits += int(approximate.nearest_index == exact_index)
-        assert hits >= int(0.8 * queries.num_series)
-
-    def test_full_budget_equals_exact_answer(self, built_index):
-        index, index_set, queries = built_index
-        for query in queries.values[:5]:
-            exact = index.knn(query, k=3)
-            approximate = index.approximate_knn(query, k=3,
-                                                max_refined_series=index_set.num_series)
-            assert np.allclose(approximate.distances, exact.distances)
-
-    def test_distance_never_below_exact(self, built_index):
-        """An approximate answer can only be equal to or worse than the exact one."""
-        index, _, queries = built_index
-        for query in queries.values[:8]:
-            exact = index.nearest_neighbor(query).nearest_distance
-            approximate = index.approximate_knn(query, k=1,
-                                                max_refined_series=8).nearest_distance
-            assert approximate >= exact - 1e-9
-
-    def test_does_less_refinement_work_than_exact(self, built_index):
-        index, _, queries = built_index
-        budget = 32
-        for query in queries.values[:5]:
-            stats = index.approximate_knn(query, k=1, max_refined_series=budget).stats
-            assert stats.exact_distances <= budget
-
-    def test_budget_validation(self, built_index):
-        index, _, queries = built_index
-        with pytest.raises(SearchError):
-            index.approximate_knn(queries[0], k=5, max_refined_series=3)
-        with pytest.raises(SearchError):
-            index.approximate_knn(queries[0], k=0)
-        with pytest.raises(SearchError):
-            index.approximate_knn(np.zeros(3), k=1)
-
-    def test_works_on_messi_too(self, clustered_index_and_queries):
-        index_set, queries = clustered_index_and_queries
-        messi = MessiIndex(leaf_size=40).build(index_set)
-        result = messi.approximate_knn(queries[0], k=3, max_refined_series=64)
-        assert result.distances.shape == (3,)
-        assert np.all(np.diff(result.distances) >= 0)
 
 
 class TestKnnBatch:

@@ -297,14 +297,6 @@ class TestEdgeCases:
         dynamic.compact()
         assert dynamic.num_base == 11
 
-    def test_approximate_knn_refuses_pending_delta(self):
-        index = _build("messi", random_walk(12, SERIES_LENGTH, seed=71), 4)
-        dynamic = index.dynamic()
-        dynamic.insert(random_walk(1, SERIES_LENGTH, seed=72)[0])
-        searcher = dynamic._state.searcher
-        with pytest.raises(SearchError, match="compact"):
-            searcher.approximate_knn(random_walk(1, SERIES_LENGTH, seed=73)[0])
-
 
 class TestCompactionMachinery:
     def test_compact_without_pending_writes_is_identity(self, kind):

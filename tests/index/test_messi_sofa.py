@@ -23,8 +23,6 @@ class TestUnbuiltIndexErrors:
         with pytest.raises(IndexError_, match=expected):
             index.nearest_neighbor(np.zeros(8))
         with pytest.raises(IndexError_, match=expected):
-            index.approximate_knn(np.zeros(8))
-        with pytest.raises(IndexError_, match=expected):
             index.knn_batch(np.zeros((2, 8)))
         with pytest.raises(IndexError_, match=expected):
             index.save("/tmp/never-written")

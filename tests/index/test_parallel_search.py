@@ -16,6 +16,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import repro.index.search
 from repro.index.messi import MessiIndex
 from repro.index.search import BestSoFar, ExactSearcher, SearchStats
 from repro.index.sofa import SofaIndex
@@ -87,7 +88,7 @@ class TestWorkerCountDeterminism:
             assert result.nearest_index == 17
             assert result.nearest_distance == pytest.approx(0.0, abs=1e-9)
 
-    def test_long_series_use_early_abandon_kernel(self):
+    def test_long_series_use_early_abandon_kernel(self, monkeypatch):
         """Long-series builds refine through the blocked early-abandoning
         kernel; answers stay bit-identical across worker counts and match a
         searcher forced onto the plain kernel."""
@@ -96,7 +97,9 @@ class TestWorkerCountDeterminism:
         index = SofaIndex(leaf_size=30).build(data)
         abandoning = ExactSearcher(index.tree)
         assert abandoning._early_abandon  # 1100 >= the default length gate
-        plain = ExactSearcher(index.tree, early_abandon_length=10_000)
+        monkeypatch.setattr(repro.index.search, "EARLY_ABANDON_MIN_LENGTH",
+                            10_000)
+        plain = ExactSearcher(index.tree)
         assert not plain._early_abandon
         queries = data[:5] + rng.normal(scale=0.05, size=(5, 1100))
         for query in queries:

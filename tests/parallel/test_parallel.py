@@ -51,10 +51,6 @@ class TestWorkerPool:
         pool = WorkerPool(num_workers=1)
         assert pool.map(lambda x: x + 1, [1, 2, 3]) == [2, 3, 4]
 
-    def test_starmap(self):
-        pool = WorkerPool(num_workers=2)
-        assert pool.starmap(lambda a, b: a - b, [(5, 2), (10, 3)]) == [3, 7]
-
     def test_invalid_worker_count(self):
         with pytest.raises(InvalidParameterError):
             WorkerPool(num_workers=0)

@@ -83,13 +83,6 @@ class TestSymbolicInterface:
         with pytest.raises(NotFittedError):
             _ = summarization.bits
 
-    def test_lower_bound_to_word_is_sqrt_of_mindist(self, oscillatory_dataset):
-        sfa = SFA(word_length=8, sample_fraction=1.0).fit(oscillatory_dataset)
-        summary = sfa.transform(oscillatory_dataset[0])
-        word = sfa.word(oscillatory_dataset[1])
-        assert sfa.lower_bound_to_word(summary, word) == pytest.approx(
-            np.sqrt(sfa.mindist(summary, word)))
-
     def test_words_accept_dataset_and_array(self, oscillatory_dataset):
         sax = SAX(word_length=8, alphabet_size=16).fit(oscillatory_dataset)
         from_dataset = sax.words(oscillatory_dataset)

@@ -149,14 +149,6 @@ class TestNesting:
             assert np.all(lower <= fine_lower + 1e-12)
             assert np.all(upper >= fine_upper - 1e-12)
 
-    def test_breakpoints_at_are_strided_subsets(self, rng):
-        data = rng.standard_normal((500, 1))
-        bins = HierarchicalBins(bits=4, scheme="equi-depth").fit(data)
-        full = bins.breakpoints_at(4)[0]
-        half = bins.breakpoints_at(3)[0]
-        assert np.allclose(half, full[1::2])
-        assert bins.breakpoints_at(0).shape == (1, 0)
-
 
 class TestIntervals:
     def test_value_falls_inside_its_interval(self, rng):

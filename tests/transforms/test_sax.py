@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from repro.core.distance import euclidean
 from repro.core.errors import InvalidParameterError, NotFittedError
 from repro.transforms.paa import paa_transform
-from repro.transforms.sax import SAX, isax_mindist
+from repro.transforms.sax import SAX
 
 
 class TestConstruction:
@@ -96,13 +96,6 @@ class TestMindist:
             coarse = sax.mindist(summary, coarse_word, cardinality_bits=bits)
             assert coarse <= full + 1e-12
             full = coarse  # bounds shrink monotonically as cardinality drops
-
-    def test_isax_mindist_helper(self, walk_dataset):
-        sax = SAX(word_length=8, alphabet_size=16).fit(walk_dataset)
-        summary = sax.transform(walk_dataset[1])
-        word = sax.word(walk_dataset[2])
-        assert isax_mindist(summary, word, sax) == pytest.approx(
-            np.sqrt(sax.mindist(summary, word)))
 
     def test_larger_alphabet_tightens_the_bound_on_average(self, oscillatory_dataset):
         values = oscillatory_dataset.values
