@@ -71,8 +71,7 @@ def test_dynamic_ingest_overhead(benchmark):
         base = index_set.values[:num_base]
         arriving = index_set.values[num_base:]
         for label, index_cls in INDEXES.items():
-            index = index_cls(leaf_size=bench_leaf_size()).build(
-                base, num_workers=1)
+            index = index_cls(leaf_size=bench_leaf_size()).build(base)
             dynamic = index.dynamic()
 
             # --- streaming ingest: batches through the vectorized write path.
@@ -88,9 +87,9 @@ def test_dynamic_ingest_overhead(benchmark):
             delta_seconds = _median_seconds(
                 lambda: dynamic.knn_batch(queries.values, k=K), QUERY_REPEATS)
 
-            # --- compact (the parallel rebuild on the union) and re-query.
+            # --- compact (the rebuild on the union) and re-query.
             start = time.perf_counter()
-            dynamic.compact(num_workers=1)
+            dynamic.compact()
             compact_seconds = time.perf_counter() - start
             compacted_answers = dynamic.knn_batch(queries.values, k=K)
             compacted_seconds = _median_seconds(

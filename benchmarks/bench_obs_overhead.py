@@ -66,7 +66,7 @@ def test_obs_overhead(benchmark):
     # batching=False serves each request with a direct engine call: the
     # micro-batch window wait would otherwise swamp the nanosecond-scale
     # cost difference this benchmark exists to measure.
-    app = SearchApp(ServeConfig(batching=False, num_workers=1))
+    app = SearchApp(ServeConfig(batching=False))
     app.add_index("bench", engine)
     workload = [list(row) for row in queries.values]
 

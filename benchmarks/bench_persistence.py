@@ -71,14 +71,10 @@ def test_persistence_warm_load(benchmark):
             index_set, queries = dataset.split(NUM_QUERIES,
                                                rng=np.random.default_rng(offset))
             for label, index_cls in INDEXES.items():
-                # The rebuild baseline is pinned to one worker — the
-                # configuration the speedup gate was calibrated against —
-                # so an ambient REPRO_NUM_WORKERS cannot shift the ratio.
-                index = index_cls(leaf_size=bench_leaf_size()).build(
-                    index_set, num_workers=1)
+                index = index_cls(leaf_size=bench_leaf_size()).build(index_set)
                 build_seconds = _median_seconds(
                     lambda: index_cls(leaf_size=bench_leaf_size()).build(
-                        index_set, num_workers=1),
+                        index_set),
                     BUILD_REPEATS)
 
                 path = scratch / f"{name}-{label}"

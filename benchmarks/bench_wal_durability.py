@@ -67,7 +67,7 @@ def test_wal_overhead_and_replay(benchmark, tmp_path):
     base = index_set.values[:num_base]
     arriving = index_set.values[num_base:]
 
-    index = MessiIndex(leaf_size=bench_leaf_size()).build(base, num_workers=1)
+    index = MessiIndex(leaf_size=bench_leaf_size()).build(base)
 
     # --- baseline: ingest with no log attached.
     bare = index.dynamic()

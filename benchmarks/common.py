@@ -36,8 +36,8 @@ _RESULTS: list[dict] = []
 def available_cores() -> int:
     """Hardware cores usable by this process (affinity-aware).
 
-    Shared by every benchmark that switches between multi-core speedup gates
-    and single-core overhead bounds, so all gates agree about the machine.
+    Recorded in the ``--bench-json`` run context, and sizes the serving
+    benchmark's client pool.
     """
     try:
         return len(os.sched_getaffinity(0))
@@ -88,7 +88,6 @@ def write_json_results(path: str) -> None:
             "num_series": bench_num_series(),
             "num_queries": bench_num_queries(),
             "leaf_size": bench_leaf_size(),
-            "num_workers_env": os.environ.get("REPRO_NUM_WORKERS"),
         },
         "results": collected_results(),
     }

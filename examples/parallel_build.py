@@ -1,16 +1,15 @@
-"""Parallel two-stage index construction with the vectorized build pipeline.
+"""Two-stage index construction with the vectorized build pipeline.
 
-The paper's construction pipeline (Figure 5) has two parallel stages — chunked
-summarization and embarrassingly-parallel per-root-subtree growth — and the
-reproduction's `build` actually exploits them:
+The paper's construction pipeline (Figure 5) has two stages — chunked
+summarization and independent per-root-subtree growth.  Both run on one
+thread here (the GIL made a threaded build slower), and the speed comes from
+vectorization instead:
 
 1. the default *vectorized* builder grows each subtree a whole frontier of
-   nodes per pass instead of recursing node by node (several times faster than
-   the seed recursive builder on one worker already),
-2. ``num_workers`` maps both stages over a thread pool (the NumPy kernels
-   release the GIL), dispatching subtrees largest-first,
-3. the built index is **bit-identical** for every builder and worker count —
-   same tree, same snapshots, same ``knn`` / ``knn_batch`` answers.
+   nodes per pass instead of recursing node by node, several times faster
+   than the seed recursive builder,
+2. the built index is **bit-identical** for both builders — same tree, same
+   snapshots, same ``knn`` / ``knn_batch`` answers.
 
 Run with::
 
@@ -26,14 +25,14 @@ import numpy as np
 from repro import SofaIndex, load_dataset, split_queries
 
 
-def timed_build(label: str, **build_kwargs) -> SofaIndex:
+def timed_build(label: str, dataset, builder: str) -> SofaIndex:
     index = SofaIndex(word_length=16, alphabet_size=256, leaf_size=100,
-                      builder=build_kwargs.pop("builder", "vectorized"))
+                      builder=builder)
     start = time.perf_counter()
-    index.build(**build_kwargs)
+    index.build(dataset)
     elapsed = time.perf_counter() - start
     timings = index.timings
-    print(f"{label:<28} {1000 * elapsed:7.1f} ms wall "
+    print(f"{label:<20} {1000 * elapsed:7.1f} ms wall "
           f"(learn {1000 * timings.learn_time:.1f} ms, "
           f"transform {1000 * timings.transform_time:.1f} ms, "
           f"tree {1000 * timings.tree_time:.1f} ms)")
@@ -47,25 +46,17 @@ def main() -> None:
           f"{index_set.series_length} points\n")
 
     # The seed recursive builder (kept as the reference implementation).
-    seed = timed_build("recursive builder, 1 worker", dataset=index_set,
-                       builder="recursive", num_workers=1)
+    seed = timed_build("recursive builder", index_set, "recursive")
     # The vectorized frontier builder — the default.
-    vectorized = timed_build("vectorized builder, 1 worker", dataset=index_set,
-                             num_workers=1)
-    # Both construction stages on a 4-thread pool.  (On a single hardware
-    # core this only adds dispatch overhead; on a multi-core machine the
-    # GIL-releasing kernels overlap.)
-    parallel = timed_build("vectorized builder, 4 workers", dataset=index_set,
-                           num_workers=4)
+    vectorized = timed_build("vectorized builder", index_set, "vectorized")
 
-    # --- bit-identity: every build answers exactly the same -----------------
+    # --- bit-identity: both builds answer exactly the same ------------------
     batch = queries.values
-    expected = seed.knn_batch(batch, k=5, num_workers=1)
-    for other in (vectorized, parallel):
-        for left, right in zip(expected, other.knn_batch(batch, k=5)):
-            assert np.array_equal(left.indices, right.indices)
-            assert np.array_equal(left.distances, right.distances)
-    print("\nall three builds answer 16 x 5-NN queries bit-identically")
+    for left, right in zip(seed.knn_batch(batch, k=5),
+                           vectorized.knn_batch(batch, k=5)):
+        assert np.array_equal(left.indices, right.indices)
+        assert np.array_equal(left.distances, right.distances)
+    print("\nboth builds answer 16 x 5-NN queries bit-identically")
 
 
 if __name__ == "__main__":

@@ -79,8 +79,8 @@ def squared_euclidean_batch(query: np.ndarray, collection: np.ndarray) -> np.nda
 #: Columns accumulated per step of :func:`squared_euclidean_batch_abandon`.
 #: Fixed (not tuned per call) on purpose: a candidate row's reported distance
 #: is a deterministic function of the query and the row alone, so engines
-#: that refine the same candidate under different schedules (worker counts,
-#: block compositions) always see bit-identical values.
+#: that refine the same candidate under different schedules (block
+#: compositions, shard splits) always see bit-identical values.
 ABANDON_COLUMN_CHUNK = 128
 
 
@@ -101,8 +101,8 @@ def squared_euclidean_batch_abandon(query: np.ndarray, collection: np.ndarray,
     any value ``> threshold`` as "worse than the best-so-far" — exactly what
     GEMINI pruning needs.  A surviving row's value never depends on
     ``threshold``, on the other rows in the call, or on how callers blocked
-    the candidates, which is what lets the parallel search engine return
-    bit-identical answers for every worker count.  (Unlike the expanded-form
+    the candidates, which is what lets the per-query engine return
+    bit-identical answers however its refinement blocks fall.  (Unlike the expanded-form
     :func:`squared_euclidean_batch`, the accumulation is difference-based, so
     values may differ from that kernel by an ulp.)
     """

@@ -110,9 +110,9 @@ class WorkloadResult:
 class WorkloadRunner:
     """Runs the paper's build-then-query workload on scaled-down datasets.
 
-    The tree indexes build and search with one worker, whatever
-    ``REPRO_NUM_WORKERS`` says, so every time is one uncontended thread's and
-    every work count is independent of thread timing.
+    The tree indexes build and search on one thread, so every time is one
+    uncontended thread's and every work count is independent of thread
+    timing.
 
     Parameters
     ----------
@@ -137,13 +137,11 @@ class WorkloadRunner:
     def make_method(self, method: str):
         """Instantiate one of the four competitors with the runner's parameters."""
         if method == "SOFA":
-            # An explicit num_workers in sofa_kwargs wins over the pin.
-            sofa_kwargs = {"num_workers": 1, **self.sofa_kwargs}
             return SofaIndex(word_length=self.word_length, alphabet_size=self.alphabet_size,
-                             leaf_size=self.leaf_size, **sofa_kwargs)
+                             leaf_size=self.leaf_size, **self.sofa_kwargs)
         if method == "MESSI":
             return MessiIndex(word_length=self.word_length, alphabet_size=self.alphabet_size,
-                              leaf_size=self.leaf_size, num_workers=1)
+                              leaf_size=self.leaf_size)
         if method == "FAISS":
             return FlatL2Index()
         if method == "UCR-SUITE":
@@ -175,7 +173,7 @@ class WorkloadRunner:
                     record.query_times.append(time.perf_counter() - start)
                     record.series_lower_bounds.append(0)
                 else:
-                    result = instance.knn(query, k=k, num_workers=1)
+                    result = instance.knn(query, k=k)
                     record.query_times.append(result.stats.wall_time_s)
                     record.series_lower_bounds.append(result.stats.series_lower_bounds)
                 record.exact_distances.append(result.stats.exact_distances)

@@ -5,10 +5,8 @@ Two engines answer exact k-NN queries over a built
 :class:`~repro.index.tree.TreeIndex`:
 
 * :class:`~repro.index.search.ExactSearcher` — one query at a time, the
-  paper's exploratory-analysis scenario (``knn`` / ``nearest_neighbor``).
-  ``knn(..., num_workers=n)`` drains the query's own surviving-leaf queue
-  with ``n`` threads against a shared best-so-far (MESSI-style intra-query
-  parallelism); answers are bit-identical for every worker count.
+  paper's exploratory-analysis scenario (``knn`` / ``nearest_neighbor``),
+  on one thread.
 * :class:`~repro.index.batch_search.BatchSearcher` — whole query workloads at
   once (``knn_batch``).  It vectorizes the lower-bound kernels and distance
   GEMMs across queries as well as candidates, so throughput-oriented
@@ -17,15 +15,15 @@ Two engines answer exact k-NN queries over a built
   ``ExactSearcher.knn_batch`` and the index wrappers delegate to it.
 
 Prefer the batched engine whenever queries arrive in groups of a few dozen or
-more; prefer the per-query engine (with intra-query workers on multi-core
-machines) for single interactive lookups.  A batch smaller than the worker
-pool falls back to intra-query workers automatically, so no core idles either
-way.
+more; prefer the per-query engine for single interactive lookups.  Neither
+engine threads a query, a batch or a tree build: in this Python reproduction
+the GIL makes that a net loss, so multi-core parallelism comes from
+:mod:`repro.cluster`'s shard processes.
 
 Both engines can serve a *mutating* collection through
 :class:`~repro.index.dynamic.DynamicIndex`: buffered inserts and tombstone
 deletes fused into the refinement loops, periodic compaction through the
-parallel build pipeline, and mid-ingest snapshots (format v2).
+build pipeline, and mid-ingest snapshots (format v2).
 
 Durability: snapshots are written crash-consistently (temp directory +
 fsync + atomic rename; format v3 adds per-array and manifest checksums,

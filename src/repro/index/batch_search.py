@@ -37,14 +37,9 @@ query, while the timing fields hold each query's *share* of the shared
 batched calls (elapsed time divided by the number of queries served), so
 summing per-query totals recovers the batch wall-clock.
 
-``knn_batch(..., num_workers=n)`` shards the workload across a
-:class:`~repro.parallel.pool.WorkerPool`; the heavy kernels release the GIL
-inside BLAS, so shards overlap on real cores.  When the batch is *smaller*
-than the pool — where query sharding would leave cores idle — the engine
-falls back to the per-query searcher's intra-query parallelism instead: each
-query's own leaf queue is drained by all ``n`` workers against a shared
-best-so-far (see :meth:`repro.index.search.ExactSearcher.knn`), with answers
-bit-identical either way.
+A batch runs on the calling thread.  Only a workload whose dense
+``query x series`` state would exceed a fixed cell budget is split, into
+query shards searched one after another.
 
 Like the per-query engine, the batched engine can fuse a dynamic overlay
 (:class:`~repro.index.dynamic.DeltaView`, provided by a ``delta_source``
@@ -67,7 +62,6 @@ from repro.core.normalization import znormalize_batch
 from repro.core.simd import batch_lower_bound_multi, batch_lower_bound_pairs
 from repro.index.search import (
     FLAT_REFINEMENT_THRESHOLD,
-    ExactSearcher,
     SearchResult,
     SearchStats,
     deadline_expired,
@@ -77,7 +71,7 @@ from repro.index.search import (
     validated_queries,
 )
 from repro.index.tree import TreeIndex
-from repro.parallel.pool import WorkerPool, chunk_indices, resolve_num_workers
+from repro.parallel.pool import chunk_indices
 
 #: Cap on ``num_queries x num_series`` cells a single engine pass may hold.
 #: The flat path materializes a few dense matrices of that shape (bounds,
@@ -219,29 +213,17 @@ class BatchSearcher:
         :class:`~repro.index.dynamic.DeltaView` of a dynamic index (or
         ``None`` when there are no pending writes).  When set, every batch
         answers over *tree ∪ delta − tombstones*.
-    intra_searcher:
-        Optional already-configured
-        :class:`~repro.index.search.ExactSearcher` over the same index,
-        used by the small-batch intra-query fallback.  Owners that hold a
-        per-query engine anyway (``ExactSearcher.knn_batch``, the dynamic
-        index's generation state) pass it here so the fallback shares that
-        engine — and its persistent worker pool — instead of building a
-        duplicate; when omitted, one is created lazily on first use.
     """
 
     def __init__(self, index: TreeIndex, normalize_queries: bool = True,
                  flat_refinement_threshold: float = FLAT_REFINEMENT_THRESHOLD,
-                 delta_source=None,
-                 intra_searcher: "ExactSearcher | None" = None) -> None:
+                 delta_source=None) -> None:
         if not index.is_built:
             raise SearchError("the index must be built before searching")
         self.index = index
         self.normalize_queries = normalize_queries
         self._delta_source = delta_source
         self.flat_refinement_threshold = flat_refinement_threshold
-        # Per-query engine for the intra-query fallback (used when a batch
-        # is smaller than the worker pool); lazily built unless shared in.
-        self._intra_searcher = intra_searcher
         # Hoisted out of the per-shard / per-round paths; re-captured once
         # per batch in case the tree was rebuilt in place (fit assigns fresh
         # weight arrays).
@@ -251,18 +233,12 @@ class BatchSearcher:
     # ------------------------------------------------------------- public
 
     def knn_batch(self, queries: np.ndarray, k: int = 1,
-                  num_workers: "int | None" = None,
                   timeout_s: "float | None" = None) -> list[SearchResult]:
         """Exact k nearest neighbours of every query row, answered as a batch.
 
         Returns one :class:`~repro.index.search.SearchResult` per query, in
         input order, identical to calling
         :meth:`~repro.index.search.ExactSearcher.knn` per query.
-        ``num_workers > 1`` splits the batch into query shards processed on a
-        thread pool (the BLAS kernels release the GIL); a batch smaller than
-        the pool is answered query by query with intra-query workers instead,
-        so the spare cores refine leaves rather than idling.  ``None`` means
-        the ``REPRO_NUM_WORKERS`` process default.
 
         ``timeout_s`` bounds the whole batch: once the budget runs out the
         still-active queries stop nominating leaves and finalize their
@@ -281,20 +257,18 @@ class BatchSearcher:
         fields.
         """
         wall_start = time.perf_counter()
-        results = self._knn_batch_timed(queries, k, num_workers, timeout_s)
+        results = self._knn_batch_timed(queries, k, timeout_s)
         wall_time = time.perf_counter() - wall_start
         for result in results:
             result.stats.wall_time_s = wall_time
         return results
 
     def _knn_batch_timed(self, queries: np.ndarray, k: int,
-                         num_workers: "int | None",
                          timeout_s: "float | None") -> list[SearchResult]:
         k = validated_count(k)
         deadline = resolve_deadline(timeout_s)
-        num_workers = resolve_num_workers(num_workers)
-        # Capture the dynamic overlay once per batch so every shard (possibly
-        # on another pool thread) answers over the same consistent snapshot.
+        # Capture the dynamic overlay once per batch so every shard answers
+        # over the same consistent snapshot.
         delta = self._delta_source() if self._delta_source is not None else None
         available = self.index.num_series if delta is None else delta.num_surviving
         if k > available:
@@ -309,56 +283,15 @@ class BatchSearcher:
         self._summarization = self.index.summarization
         if self._summarization.weights is not self._weights:
             self._weights = self._summarization.weights
-        if num_workers > num_queries:
-            # A batch of 2 on an 8-worker pool would leave 6 workers idle
-            # under query sharding; intra-query parallelism puts every
-            # worker on each query's own leaf queue instead.  Answer
-            # equivalence rests on the established cross-engine contract
-            # (knn_batch == per-query knn): both engines select under the
-            # total order (distance², row) and finalize through the
-            # canonical recompute, which is what the exact-tie property
-            # tests pin down — not on refining every row with one kernel,
-            # since the two engines' kernels have differed since the
-            # batched engine was introduced.
-            return self._intra_query_fallback(queries, k, num_workers, delta,
-                                              deadline)
-        # Shard for workers, and in any case keep each pass's dense
-        # query x series state under the _MAX_SHARD_CELLS budget.
+        # Keep each pass's dense query x series state under the
+        # _MAX_SHARD_CELLS budget.
         cell_cap = max(1, _MAX_SHARD_CELLS // max(1, self.index.num_series))
-        num_shards = min(num_queries,
-                         max(min(num_workers, num_queries),
-                             -(-num_queries // cell_cap)))
+        num_shards = min(num_queries, -(-num_queries // cell_cap))
         if num_shards == 1:
             return self._search_shard(queries, k, delta, deadline)
-        shards = [shard for shard in chunk_indices(num_queries, num_shards)
-                  if shard.size]
-        pool = WorkerPool(num_workers)
-        parts = pool.map(
-            lambda shard: self._search_shard(queries[shard], k, delta, deadline),
-            shards)
-        return [result for part in parts for result in part]
-
-    def _intra_query_fallback(self, queries: np.ndarray, k: int,
-                              num_workers: int, delta,
-                              deadline: "float | None" = None
-                              ) -> list[SearchResult]:
-        """Answer a small batch query by query with intra-query workers.
-
-        Queries run one after another, each with the full worker pool on its
-        own surviving-leaf queue, over the one delta snapshot captured for
-        the batch.  Owners share their per-query engine through the
-        ``intra_searcher`` constructor parameter; a standalone
-        ``BatchSearcher`` builds one lazily with its own configuration.
-        """
-        searcher = self._intra_searcher
-        if searcher is None:
-            searcher = ExactSearcher(
-                self.index, normalize_queries=self.normalize_queries,
-                flat_refinement_threshold=self.flat_refinement_threshold)
-            self._intra_searcher = searcher
-        return [searcher._knn_under_delta(query, k, num_workers, delta,
-                                          deadline=deadline)
-                for query in queries]
+        return [result for shard in chunk_indices(num_queries, num_shards)
+                for result in self._search_shard(queries[shard], k, delta,
+                                                 deadline)]
 
     # -------------------------------------------------------------- engine
 

@@ -2,9 +2,8 @@
 
 MESSI's index-construction phase first computes the symbolic summaries of all
 series into per-root-child buffers and only then builds each subtree from its
-buffer (Figure 5, Stage 1).  Keeping the two phases separate makes subtree
-construction embarrassingly parallel — each buffer belongs to exactly one
-subtree and one worker.
+buffer (Figure 5, Stage 1).  Keeping the two phases separate makes subtrees
+independent of each other — each buffer belongs to exactly one subtree.
 """
 
 from __future__ import annotations
@@ -39,9 +38,9 @@ def fill_buffers(words: np.ndarray, bits: int) -> list[SummaryBuffer]:
 
     Returns
     -------
-    list of :class:`SummaryBuffer`, ordered by descending size so that a
-    worker pool picking them up in order realizes the greedy
-    longest-first schedule MESSI's work queue would drain them in.
+    list of :class:`SummaryBuffer`, ordered by descending size (the greedy
+    longest-first order MESSI's work queue drains them in).  The tree keeps
+    this order, so it fixes the leaf directory's layout.
     """
     words = np.asarray(words, dtype=np.int64)
     if words.ndim != 2:

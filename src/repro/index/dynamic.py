@@ -26,7 +26,7 @@ MESSI-lineage systems serve continuously arriving data:
   when both sides ingest the same raw rows; re-normalizing already
   normalized values drifts them by an ulp and is not the same collection.)
 * :meth:`~DynamicIndex.compact` merges the delta: the surviving series are
-  rebuilt through the parallel two-stage build pipeline
+  rebuilt through the two-stage build pipeline
   (:meth:`~repro.index.tree.TreeIndex.clone_unbuilt` + ``build``), and the
   new tree replaces the old one in a single atomic reference swap — readers
   either see the complete old generation (tree + delta + tombstones) or the
@@ -168,12 +168,9 @@ class _DynamicState:
         self._rows_cache = np.empty(0, dtype=np.int64)
         self.searcher = ExactSearcher(tree, normalize_queries=normalize_queries,
                                       delta_source=self.capture)
-        # One per-query engine (and one persistent intra-query pool) per
-        # generation: the batched engine's small-batch fallback shares it.
         self.batch_searcher = BatchSearcher(tree,
                                             normalize_queries=normalize_queries,
-                                            delta_source=self.capture,
-                                            intra_searcher=self.searcher)
+                                            delta_source=self.capture)
 
     @property
     def delta_count(self) -> int:
@@ -274,9 +271,6 @@ class DynamicIndex:
     normalize_queries:
         z-normalize incoming queries (the paper's setting; forwarded to both
         search engines).
-    num_workers:
-        Default worker count of compaction rebuilds (``None`` keeps the
-        base tree's configuration).
     wal_dir:
         Directory of a :class:`~repro.index.wal.WriteAheadLog` to attach.
         Writes append a checksummed record *before* mutating state and
@@ -297,7 +291,6 @@ class DynamicIndex:
     def __init__(self, index, *, compact_threshold: float = 0.25,
                  auto_compact: bool = False, normalize: bool = True,
                  normalize_queries: bool = True,
-                 num_workers: "int | None" = None,
                  wal_dir=None, wal_fsync: str = "batch") -> None:
         tree, index_type = _resolve_tree(index)
         if not tree.is_built:
@@ -312,7 +305,6 @@ class DynamicIndex:
         self.auto_compact = bool(auto_compact)
         self.normalize = bool(normalize)
         self.normalize_queries = bool(normalize_queries)
-        self.num_workers = num_workers
         self._state = _DynamicState(tree, index_type,
                                     normalize_queries=self.normalize_queries)
         self._write_lock = threading.Lock()
@@ -498,7 +490,6 @@ class DynamicIndex:
     # -------------------------------------------------------------- queries
 
     def knn(self, query: np.ndarray, k: int = 1,
-            num_workers: "int | None" = None,
             timeout_s: "float | None" = None,
             shared_best: "BestSoFar | None" = None,
             trace=None) -> SearchResult:
@@ -506,17 +497,13 @@ class DynamicIndex:
 
         Bit-identical to a scratch rebuild on the surviving rows (answers are
         reported under the same global row ids this index hands out).
-        ``num_workers`` drains the query's leaf queue — with the delta buffer
-        as one more work item — against a shared best-so-far; answers are
-        bit-identical for every worker count, mid-ingest included.
         ``timeout_s`` bounds the search: on expiry the best-so-far is
         finalized with ``stats.timed_out=True``.  ``shared_best`` runs the
         search on a caller-built (cross-shard) best-so-far; ``trace`` records
         phase spans (including the delta-fusion phase) without changing the
         answer; see :meth:`~repro.index.search.ExactSearcher.knn`.
         """
-        return self._state.searcher.knn(query, k=k, num_workers=num_workers,
-                                        timeout_s=timeout_s,
+        return self._state.searcher.knn(query, k=k, timeout_s=timeout_s,
                                         shared_best=shared_best, trace=trace)
 
     def gather_values(self, rows) -> np.ndarray:
@@ -536,31 +523,27 @@ class DynamicIndex:
             dtype=np.float64)
 
     def nearest_neighbor(self, query: np.ndarray,
-                         num_workers: "int | None" = None,
                          timeout_s: "float | None" = None) -> SearchResult:
         """Exact 1-NN over the surviving rows.
 
         ``timeout_s`` bounds the search like :meth:`knn` does: on expiry the
         best-so-far is finalized with ``stats.timed_out=True``.
         """
-        return self.knn(query, k=1, num_workers=num_workers,
-                        timeout_s=timeout_s)
+        return self.knn(query, k=1, timeout_s=timeout_s)
 
     def knn_batch(self, queries: np.ndarray, k: int = 1,
-                  num_workers: "int | None" = None,
                   timeout_s: "float | None" = None) -> "list[SearchResult]":
         """Batched exact k-NN over the surviving rows (same answers as knn)."""
         return self._state.batch_searcher.knn_batch(queries, k=k,
-                                                    num_workers=num_workers,
                                                     timeout_s=timeout_s)
 
     # ----------------------------------------------------------- compaction
 
-    def compact(self, num_workers: "int | None" = None) -> np.ndarray:
+    def compact(self) -> np.ndarray:
         """Merge the delta and drop tombstones by rebuilding the tree.
 
         The surviving series (base order first, then insert order) are fed
-        through the parallel two-stage build pipeline — re-learning the
+        through the two-stage build pipeline — re-learning the
         summarization on the union, exactly like a fresh build — and the new
         generation replaces the old one atomically; in-flight queries finish
         on the old tree.  Returns the row remapping: ``mapping[old_id]`` is
@@ -568,10 +551,9 @@ class DynamicIndex:
         rows.  With nothing pending this is a cheap identity remap.
         """
         with self._write_lock:
-            return self._compact_locked(num_workers, log=True)
+            return self._compact_locked(log=True)
 
-    def compact_in_background(self,
-                              num_workers: "int | None" = None) -> BackgroundTask:
+    def compact_in_background(self) -> BackgroundTask:
         """Run :meth:`compact` on a daemon thread and return its handle.
 
         Queries keep serving the pre-compaction generation until the atomic
@@ -591,7 +573,7 @@ class DynamicIndex:
                     return task
                 self._compaction_task = None
                 task.wait()  # surfaces a failed earlier merge, never drops it
-            task = BackgroundTask(lambda: self.compact(num_workers))
+            task = BackgroundTask(self.compact)
             self._compaction_task = task
         return task
 
@@ -606,8 +588,7 @@ class DynamicIndex:
         """
         self.compact_in_background()
 
-    def _compact_locked(self, num_workers: "int | None",
-                        log: bool = True) -> np.ndarray:
+    def _compact_locked(self, log: bool = True) -> np.ndarray:
         state = self._state
         mapping = np.full(state.num_total, -1, dtype=np.int64)
         if state.delta_count == 0 and state.base_dead == 0:
@@ -637,8 +618,7 @@ class DynamicIndex:
             time.perf_counter() - phase_start)
         phase_start = time.perf_counter()
         tree = state.tree.clone_unbuilt()
-        tree.build(dataset, num_workers=(self.num_workers if num_workers is None
-                                         else num_workers))
+        tree.build(dataset)
         _COMPACTION_SECONDS.labels(phase="rebuild").observe(
             time.perf_counter() - phase_start)
         phase_start = time.perf_counter()
@@ -729,7 +709,7 @@ class DynamicIndex:
             self._delete_row(int(record.row), log=False)
         elif record.op == OP_COMPACT:
             with self._write_lock:
-                self._compact_locked(None, log=False)
+                self._compact_locked(log=False)
         else:  # pragma: no cover - read_records rejects unknown ops first
             raise IndexError_(f"cannot replay WAL record with op {record.op}")
 

@@ -29,23 +29,17 @@ class TreeFacade:
     index_type: str
 
     def __init__(self, summarization, *, leaf_size: int, split_policy: str,
-                 num_workers: "int | None", builder: str) -> None:
+                 builder: str) -> None:
         self.summarization = summarization
         self.tree = TreeIndex(summarization, leaf_size=leaf_size,
-                              split_policy=split_policy, num_workers=num_workers,
-                              builder=builder)
+                              split_policy=split_policy, builder=builder)
         self._searcher: ExactSearcher | None = None
 
-    def build(self, dataset: "Dataset | np.ndarray",
-              num_workers: "int | None" = None):
+    def build(self, dataset: "Dataset | np.ndarray"):
         """Build the index: fit the summarization, summarize all series, grow
         the tree.
-
-        ``num_workers`` overrides the constructor's worker count for this
-        build only; answers are bit-identical for every worker count.
         """
-        self.tree.build(dataset if isinstance(dataset, Dataset) else Dataset(dataset),
-                        num_workers=num_workers)
+        self.tree.build(dataset if isinstance(dataset, Dataset) else Dataset(dataset))
         self._searcher = ExactSearcher(self.tree)
         return self
 
@@ -103,24 +97,19 @@ class TreeFacade:
         return DynamicIndex(self, **options)
 
     def knn(self, query: np.ndarray, k: int = 1,
-            num_workers: "int | None" = None,
             timeout_s: "float | None" = None,
             trace=None) -> SearchResult:
         """Exact k nearest neighbours of ``query``.
 
-        ``num_workers`` threads drain the query's surviving-leaf queue
-        against a shared best-so-far (``None`` = the ``REPRO_NUM_WORKERS``
-        process default); answers are bit-identical for every worker count.
         ``timeout_s`` bounds the search: on expiry the best-so-far is
         finalized with ``stats.timed_out=True``; ``trace`` records the
         query's phase spans without changing its answer (see
         :meth:`repro.index.search.ExactSearcher.knn`).
         """
-        return self._require_built().knn(query, k=k, num_workers=num_workers,
-                                         timeout_s=timeout_s, trace=trace)
+        return self._require_built().knn(query, k=k, timeout_s=timeout_s,
+                                         trace=trace)
 
     def nearest_neighbor(self, query: np.ndarray,
-                         num_workers: "int | None" = None,
                          timeout_s: "float | None" = None) -> SearchResult:
         """Exact nearest neighbour of ``query``.
 
@@ -128,22 +117,17 @@ class TreeFacade:
         best-so-far is finalized with ``stats.timed_out=True``.
         """
         return self._require_built().nearest_neighbor(query,
-                                                      num_workers=num_workers,
                                                       timeout_s=timeout_s)
 
     def knn_batch(self, queries: np.ndarray, k: int = 1,
-                  num_workers: "int | None" = None,
                   timeout_s: "float | None" = None) -> "list[SearchResult]":
         """Exact k-NN for a batch of queries, answered by the batched engine.
 
-        See :class:`~repro.index.batch_search.BatchSearcher`; ``num_workers``
-        shards the batch over a thread pool, falling back to intra-query
-        workers when the batch is smaller than the pool.  ``timeout_s``
+        See :class:`~repro.index.batch_search.BatchSearcher`.  ``timeout_s``
         bounds the whole batch (still-active queries finalize their
         best-so-far with ``stats.timed_out=True``).
         """
         return self._require_built().knn_batch(queries, k=k,
-                                               num_workers=num_workers,
                                                timeout_s=timeout_s)
 
     @property

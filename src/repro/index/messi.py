@@ -24,10 +24,6 @@ class MessiIndex(TreeFacade):
         Maximum series per leaf before splitting.
     split_policy:
         Node-splitting heuristic, see :class:`~repro.index.tree.TreeIndex`.
-    num_workers:
-        Worker threads used by both construction stages (``None`` = the
-        ``REPRO_NUM_WORKERS`` process default); the built index is
-        bit-identical for every worker count.
     builder:
         Subtree builder, see :class:`~repro.index.tree.TreeIndex`
         (``"vectorized"`` default, ``"recursive"`` reference).
@@ -38,9 +34,8 @@ class MessiIndex(TreeFacade):
 
     def __init__(self, word_length: int = 16, alphabet_size: int = 256,
                  leaf_size: int = 100, split_policy: str = "balanced",
-                 num_workers: "int | None" = None,
                  builder: str = "vectorized") -> None:
         super().__init__(
             SAX(word_length=word_length, alphabet_size=alphabet_size),
             leaf_size=leaf_size, split_policy=split_policy,
-            num_workers=num_workers, builder=builder)
+            builder=builder)

@@ -20,25 +20,15 @@ k-NN uses the same machinery with the BSF being the k-th best distance found
 so far.  The searcher times each phase once per query (approximate search,
 traversal, refinement) next to its work counters.
 
-``knn(..., num_workers=n)`` answers a *single* query with MESSI-style
-intra-query parallelism: after the approximate descent seeds the BSF, the
-lower-bound-ordered surviving-leaf queue is drained by ``n`` threads — each
-runs the same batched lower-bound + blocked ED refinement kernels (NumPy
-releases the GIL inside them) against one shared, thread-safe k-NN heap
-(:class:`BestSoFar`) whose threshold is re-read between blocks, so one
-worker's tightened best-so-far prunes every other worker's remaining work.
-Because the bounded heap retains the k smallest offers under the total order
-(distance², row) regardless of offer order, and this engine refines a given
-row with the same kernel at every worker count, the answers are
-**bit-identical for every worker count**.  ``num_workers=None`` falls back to the ``REPRO_NUM_WORKERS``
-process default, like index construction.
+Every query runs on one thread: in this Python reproduction the GIL turns the
+paper's MESSI-style parallel refinement (threads draining one query's leaf
+queue against a shared best-so-far) into a net loss, so the system's
+parallelism is :mod:`repro.cluster`'s shard processes instead.
 
 Whole query workloads should go through :meth:`ExactSearcher.knn_batch`,
 which delegates to the batched multi-query engine
 (:class:`~repro.index.batch_search.BatchSearcher`): same exact answers,
 several times the throughput once a few dozen queries are batched together.
-When the batch is smaller than the worker pool, that engine falls back to the
-intra-query parallelism of this module so no core idles.
 
 Both engines optionally fuse a *dynamic overlay* into the refinement loop: a
 :class:`~repro.index.dynamic.DynamicIndex` layers a write path (buffered
@@ -46,10 +36,9 @@ inserts, tombstone deletes) over the read-optimized tree and passes the
 engines a ``delta_source`` callable returning the current
 :class:`~repro.index.dynamic.DeltaView`.  Delta series are lower-bounded with
 the same :func:`~repro.core.simd.batch_lower_bound` kernel as leaf series (so
-pruning applies to them too) and refined as one extra pseudo-leaf — right
-after the seed leaf sequentially, or as just another work item on the shared
-queue when workers drain it in parallel; tombstoned rows have their lower
-bounds forced to ``+inf``, so they are never refined and never enter the
+pruning applies to them too) and refined as one extra pseudo-leaf right
+after the seed leaf; tombstoned rows have their lower bounds forced to
+``+inf``, so they are never refined and never enter the
 answer heap.  Answers over *tree ∪ delta − tombstones* stay bit-identical to
 a scratch rebuild on the surviving rows.
 """
@@ -74,23 +63,18 @@ from repro.core.normalization import znormalize
 from repro.core.simd import batch_lower_bound
 from repro.index.node import LeafNode
 from repro.index.tree import TreeIndex
-from repro.parallel.pool import WorkerPool, resolve_num_workers
 
 
 @dataclass
 class SearchStats:
     """Work counters and phase timings of one exact query.
 
-    ``num_workers`` records how many threads served the query.  With more
-    than one worker the counters are the deterministic merge (worker order,
-    see :func:`repro.index.stats.merge_search_stats`) of the per-worker
-    reports.  The phase times are wall clock: ``refinement_time`` covers the
-    whole refinement phase (the parallel drain included), not the work items
-    inside it.
+    The phase times are wall clock.  A sharded query's stats are the
+    deterministic merge (shard order, see
+    :func:`repro.index.stats.merge_search_stats`) of the per-shard reports.
     """
 
     num_series: int = 0
-    num_workers: int = 1
     leaves_visited: int = 0
     leaves_pruned_in_queue: int = 0
     nodes_pruned: int = 0
@@ -119,9 +103,9 @@ class SearchStats:
     #: scatter) — the caller-observed latency, as opposed to the summed
     #: phase times of :attr:`total_time`.  For a batched call
     #: every result carries the batch's wall time (the latency each caller
-    #: actually waited).  Merging per-worker stats keeps the target's value
-    #: (wall time is a whole-query property, like the sequential phases);
-    #: summarizing across queries sums it.
+    #: actually waited).  Merging per-shard stats keeps the target's value
+    #: (wall time is a whole-query property); summarizing across queries
+    #: sums it.
     wall_time_s: float = 0.0
 
     @property
@@ -307,15 +291,15 @@ class BestSoFar:
     tied distances the smaller row wins.  A total order makes the retained
     set independent of the order candidates were offered in, which is what
     lets the batched engine (whose refinement schedule differs) and the
-    intra-query parallel engine (whose offer interleaving depends on thread
-    timing) select the same k answers.
+    sharded scatter (whose shard threads offer into one shared parent heap
+    in an order that depends on thread timing) select the same k answers.
 
     Offers serialize on a mutex; the pruning threshold is published as a
-    plain attribute that workers read lock-free (an atomic attribute load
-    under the GIL; a stale value is merely a looser bound, and the threshold
-    only ever tightens, so pruning against it stays conservative) and re-read
-    between refinement blocks — which is how one worker's tightened
-    best-so-far prunes every other worker's remaining work.
+    plain attribute that shard threads read lock-free (an atomic attribute
+    load under the GIL; a stale value is merely a looser bound, and the
+    threshold only ever tightens, so pruning against it stays conservative)
+    and re-read between refinement blocks — which is how one shard's
+    tightened best-so-far prunes every other shard's remaining work.
 
     ``floor`` is a frozen external bound that caps only the published
     threshold: searches prune against it, but offers are still retained
@@ -424,9 +408,9 @@ def _wire_value(spec, value):
 #: early-abandoning ED kernel.  For short series the expanded-form BLAS
 #: kernel wins outright; for long series most candidates blow past the BSF
 #: within the first column chunks and abandoning skips the tail.  The choice
-#: depends only on the build, never on the schedule, so every engine and
-#: worker count refines a given row with the same kernel and sees the same
-#: value (part of the bit-identity contract).
+#: depends only on the build, never on the schedule, so every engine refines
+#: a given row with the same kernel and sees the same value (part of the
+#: bit-identity contract).
 EARLY_ABANDON_MIN_LENGTH = 1024
 
 #: Average leaf size below which both engines filter-and-refine over the flat
@@ -475,8 +459,6 @@ class ExactSearcher:
         self._early_abandon = (
             index.dataset.series_length >= EARLY_ABANDON_MIN_LENGTH)
         self._batch_searcher = None
-        self._intra_pools: dict[int, WorkerPool] = {}
-        self._intra_pools_lock = threading.Lock()
         # Hoisted out of the per-leaf refinement loops: the summarization's
         # bins and lower-bound weights are fixed for a given build, and the
         # chained attribute lookups showed up when profiling refinement
@@ -493,39 +475,13 @@ class ExactSearcher:
         if summarization.weights is not self._weights:
             self._weights = summarization.weights
 
-    def _worker_pool(self, num_workers: int) -> WorkerPool:
-        """The searcher's persistent intra-query pool for one worker count.
-
-        Persistence matters here: one parallel query's whole refinement phase
-        can be shorter than starting threads, so each pool keeps its executor
-        alive between queries.  Pools are cached per worker count so callers
-        that alternate counts (benchmarks, mixed workloads) never churn
-        executors, and creation is locked so concurrent queries on one
-        searcher (the dynamic index serves reads lock-free) cannot race two
-        pools into existence.
-        """
-        pool = self._intra_pools.get(num_workers)
-        if pool is None:
-            with self._intra_pools_lock:
-                pool = self._intra_pools.get(num_workers)
-                if pool is None:
-                    pool = WorkerPool(num_workers, persistent=True)
-                    self._intra_pools[num_workers] = pool
-        return pool
-
     # ------------------------------------------------------------- public
 
     def knn(self, query: np.ndarray, k: int = 1,
-            num_workers: "int | None" = None,
             timeout_s: "float | None" = None,
             shared_best: "BestSoFar | None" = None,
             trace=None) -> SearchResult:
         """Exact k nearest neighbours of ``query`` under the (z-)ED.
-
-        ``num_workers`` threads drain the query's own surviving-leaf queue
-        against a shared best-so-far (``None`` = the ``REPRO_NUM_WORKERS``
-        process default), cutting single-query latency on multi-core
-        machines; the answer is bit-identical for every worker count.
 
         ``timeout_s`` bounds the query's wall time: when the budget expires
         mid-refinement the current best-so-far is finalized and returned with
@@ -548,23 +504,17 @@ class ExactSearcher:
         start = time.perf_counter()
         k = validated_count(k)
         deadline = resolve_deadline(timeout_s)
-        num_workers = resolve_num_workers(num_workers)
         delta = self._delta_source() if self._delta_source is not None else None
-        result = self._knn_under_delta(query, k, num_workers, delta,
-                                       deadline=deadline,
+        result = self._knn_under_delta(query, k, delta, deadline=deadline,
                                        shared_best=shared_best, trace=trace)
         result.stats.wall_time_s = time.perf_counter() - start
         return result
 
-    def _knn_under_delta(self, query: np.ndarray, k: int, num_workers: int,
-                         delta, deadline: "float | None" = None,
+    def _knn_under_delta(self, query: np.ndarray, k: int, delta,
+                         deadline: "float | None" = None,
                          shared_best: "BestSoFar | None" = None,
                          trace=None) -> SearchResult:
-        """The engine behind :meth:`knn`, with the dynamic overlay pinned.
-
-        The batched engine's intra-query fallback calls this directly so a
-        whole batch answers over one consistent delta snapshot.
-        """
+        """The engine behind :meth:`knn`, with the dynamic overlay pinned."""
         setup_start = time.perf_counter() if trace is not None else 0.0
         available = self.index.num_series if delta is None else delta.num_surviving
         if k > available:
@@ -581,7 +531,7 @@ class ExactSearcher:
         query_summary = summarization.transform(query)
         query_word = self._bins.symbols(query_summary)
 
-        stats = SearchStats(num_series=available, num_workers=num_workers)
+        stats = SearchStats(num_series=available)
         heap = shared_best if shared_best is not None else BestSoFar(k)
         if trace is not None:
             # Validation, z-normalization and the SFA transform of the query.
@@ -593,14 +543,8 @@ class ExactSearcher:
             # shatters the data into near-singleton leaves): skip the per-leaf
             # machinery and filter-and-refine over the flat series directory.
             flat_start = time.perf_counter() if trace is not None else 0.0
-            if num_workers > 1:
-                delta_time = self._flat_search_parallel(
-                    query, query_summary, heap, stats, delta, num_workers,
-                    deadline=deadline)
-            else:
-                delta_time = self._flat_search(query, query_summary, heap,
-                                               stats, delta=delta,
-                                               deadline=deadline)
+            delta_time = self._flat_search(query, query_summary, heap, stats,
+                                           delta=delta, deadline=deadline)
             if trace is not None:
                 flat_wall = time.perf_counter() - flat_start
                 # The flat path computes all per-series bounds in one call
@@ -630,10 +574,10 @@ class ExactSearcher:
                 trace.add_phase("approximate", stats.approximate_time,
                                 seeded=int(seed_leaf is not None))
 
-            if delta is not None and num_workers == 1:
+            if delta is not None:
                 # The delta is one extra pseudo-leaf, refined right after the
                 # seed so its series help tighten the BSF before traversal
-                # prunes.  (Parallel workers drain it as a queue item.)
+                # prunes.
                 start = time.perf_counter()
                 self._refine_delta(query, query_summary, heap, stats, delta,
                                    deadline=deadline)
@@ -653,20 +597,14 @@ class ExactSearcher:
                                 nodes_pruned=stats.nodes_pruned)
 
             start = time.perf_counter()
-            if num_workers > 1:
-                self._drain_queue_parallel(query, query_summary, ordered_leaves,
-                                           ordered_bounds, heap, stats, delta,
-                                           num_workers, deadline=deadline)
-            else:
-                self._process_queue(query, query_summary, ordered_leaves,
-                                    ordered_bounds, heap, stats, delta=delta,
-                                    deadline=deadline)
+            self._process_queue(query, query_summary, ordered_leaves,
+                                ordered_bounds, heap, stats, delta=delta,
+                                deadline=deadline)
             refine_time = time.perf_counter() - start
             stats.refinement_time += refine_time
             if trace is not None:
                 trace.add_phase("refinement", refine_time,
-                                leaves_visited=stats.leaves_visited,
-                                workers=num_workers)
+                                leaves_visited=stats.leaves_visited)
 
         final_start = time.perf_counter() if trace is not None else 0.0
         rows = np.array([index for _, index in heap.sorted_items()], dtype=np.int64)
@@ -680,40 +618,31 @@ class ExactSearcher:
         return result
 
     def nearest_neighbor(self, query: np.ndarray,
-                         num_workers: "int | None" = None,
                          timeout_s: "float | None" = None) -> SearchResult:
         """Exact 1-NN of ``query`` (convenience wrapper around :meth:`knn`).
 
         ``timeout_s`` bounds the search exactly like :meth:`knn` does: on
         expiry the best-so-far is finalized with ``stats.timed_out=True``.
         """
-        return self.knn(query, k=1, num_workers=num_workers,
-                        timeout_s=timeout_s)
+        return self.knn(query, k=1, timeout_s=timeout_s)
 
     def knn_batch(self, queries: np.ndarray, k: int = 1,
-                  num_workers: "int | None" = None,
                   timeout_s: "float | None" = None) -> list[SearchResult]:
         """Exact k-NN of a batch of queries (one per row), answered together.
 
         Delegates to the :class:`~repro.index.batch_search.BatchSearcher`,
         which vectorizes lower-bound and distance kernels across the whole
         workload instead of looping over :meth:`knn`; the answers are the same
-        exact k-NN sets either way.  ``num_workers > 1`` shards the batch over
-        a thread pool (the underlying BLAS kernels release the GIL), falling
-        back to intra-query workers when the batch is smaller than the pool;
-        ``None`` means the ``REPRO_NUM_WORKERS`` process default.
+        exact k-NN sets either way.
         """
         from repro.index.batch_search import BatchSearcher
 
         if self._batch_searcher is None:
-            # This searcher (and its persistent intra-query pool) doubles as
-            # the batched engine's small-batch fallback engine.
             self._batch_searcher = BatchSearcher(
                 self.index, normalize_queries=self.normalize_queries,
                 flat_refinement_threshold=self.flat_refinement_threshold,
-                delta_source=self._delta_source, intra_searcher=self)
+                delta_source=self._delta_source)
         return self._batch_searcher.knn_batch(queries, k=k,
-                                              num_workers=num_workers,
                                               timeout_s=timeout_s)
 
     # ------------------------------------------------------ flat refinement
@@ -774,47 +703,6 @@ class ExactSearcher:
             return lambda block: values[rows[block]]
         return lambda block: delta.gather(values, rows[block])
 
-    def _flat_search_parallel(self, query: np.ndarray, query_summary: np.ndarray,
-                              heap: BestSoFar, stats: SearchStats, delta,
-                              num_workers: int, block_size: int = 128,
-                              deadline: "float | None" = None) -> float:
-        """Flat filter-and-refine with the sorted directory drained by workers.
-
-        Same bounds and candidates as :meth:`_flat_search`; the bound-sorted
-        directory is cut into fixed blocks which workers claim in
-        ascending-bound order, so the earliest blocks tighten the shared
-        best-so-far and later blocks are pruned by the threshold re-reads of
-        the shared refinement loop — each claimed block goes through the same
-        :meth:`_refine_candidates` helper as every other candidate source.
-        """
-        from repro.index.stats import merge_search_stats
-
-        start = time.perf_counter()
-        bounds, rows, delta_time = self._flat_directory(query_summary, delta)
-        candidates = np.flatnonzero(bounds < np.inf)
-        order = candidates[np.argsort(bounds[candidates])]
-        stats.series_lower_bounds += bounds.shape[0]
-        stats.traversal_time = time.perf_counter() - start
-
-        gather = self._flat_gather(rows, delta)
-        blocks = [order[position:position + block_size]
-                  for position in range(0, order.size, block_size)]
-
-        def process(block: np.ndarray, worker_stats: SearchStats) -> None:
-            if deadline_expired(deadline):
-                worker_stats.timed_out = True
-                return
-            self._refine_candidates(query, rows[block], bounds[block],
-                                    lambda selected: gather(block[selected]),
-                                    heap, worker_stats,
-                                    block_size=block_size, deadline=deadline)
-
-        start = time.perf_counter()
-        merge_search_stats(stats, self._worker_pool(num_workers).map_shared(
-            process, blocks, make_state=SearchStats))
-        stats.refinement_time += time.perf_counter() - start
-        return delta_time
-
     # -------------------------------------------------------- leaf queueing
 
     def _collect_leaves(self, query_summary: np.ndarray, best_so_far: float,
@@ -824,9 +712,8 @@ class ExactSearcher:
 
         All leaf lower bounds come from one vectorized kernel call over the
         index's leaf directory; surviving leaves are returned sorted by lower
-        bound, which plays the role of MESSI's priority queues — drained
-        sequentially by :meth:`_process_queue` or by the worker threads of
-        :meth:`_drain_queue_parallel`.
+        bound, which plays the role of MESSI's priority queues, drained by
+        :meth:`_process_queue`.
         """
         bounds = self.index.leaf_lower_bounds(query_summary)
         surviving = np.flatnonzero(self._admissible(bounds, best_so_far))
@@ -850,9 +737,9 @@ class ExactSearcher:
         it is what makes pruning against the live shared threshold
         schedule-independent — a true top-k candidate has
         ``bound <= distance <= final threshold <= current threshold`` and
-        therefore can never be dropped, no matter which worker tightened the
-        threshold first; with a strict filter, a tie candidate's fate would
-        depend on thread timing.  ``+inf`` bounds (masked tombstones) are
+        therefore can never be dropped, no matter which shard thread
+        tightened a shared parent heap's threshold first; with a strict
+        filter, a tie candidate's fate would depend on thread timing.  ``+inf`` bounds (masked tombstones) are
         always excluded, even while the threshold is still infinite.
         """
         if np.isfinite(threshold):
@@ -868,7 +755,7 @@ class ExactSearcher:
         best-so-far stop accumulating, and their (already disqualifying)
         partial sums are dropped by the heap's ``<= threshold`` pre-filter.
         The kernel choice depends only on the build, never on the schedule,
-        so every worker count sees identical values for a given row.
+        so every engine sees identical values for a given row.
         """
         if self._early_abandon:
             return squared_euclidean_batch_abandon(query, values, threshold)
@@ -950,16 +837,12 @@ class ExactSearcher:
 
     def _take_group(self, ordered_leaves: list[LeafNode],
                     ordered_bounds: np.ndarray, position: int,
-                    threshold: float = np.inf
-                    ) -> tuple[list[LeafNode], int]:
+                    threshold: float) -> tuple[list[LeafNode], int]:
         """Accumulate consecutive queue leaves into one refinement group.
 
-        The single copy of the grouping rule shared by the sequential queue
-        walk (which caps the group at the live ``threshold``) and the
-        parallel work-item builder (which passes ``inf`` — its items are
-        fixed up front and pruned at claim time instead): consecutive
-        leaves are taken until the group reaches the size target, so small
-        leaves share one batched kernel call.
+        Consecutive leaves whose bound is within the live ``threshold`` are
+        taken until the group reaches the size target, so small leaves share
+        one batched kernel call.
         """
         group_target = max(self.index.leaf_size, 64)
         total = len(ordered_leaves)
@@ -972,62 +855,6 @@ class ExactSearcher:
             group_size += ordered_leaves[position].size
             position += 1
         return group, position
-
-    def _drain_queue_parallel(self, query: np.ndarray, query_summary: np.ndarray,
-                              ordered_leaves: list[LeafNode],
-                              ordered_bounds: np.ndarray, heap: BestSoFar,
-                              stats: SearchStats, delta,
-                              num_workers: int,
-                              deadline: "float | None" = None) -> None:
-        """Drain the lower-bound-ordered leaf queue with ``num_workers`` threads.
-
-        The queue is cut into work items up front — static groups of
-        consecutive leaves built to the same size target as the sequential
-        grouping (but fixed in advance rather than re-grouped under the live
-        threshold), with the dynamic delta pseudo-leaf as just another item
-        at the head of the queue.  Workers claim items most-promising-first
-        and re-check the shared best-so-far at claim time and between
-        refinement blocks, so one worker's tightened threshold prunes every
-        other worker's remaining work — the MESSI refinement structure the
-        paper's Figure 10 core scaling measures.  Per-worker stats are merged
-        in worker order (deterministic, independent of completion timing).
-        """
-        from repro.index.stats import merge_search_stats
-
-        items: list["tuple[float, list[LeafNode]] | None"] = []
-        if delta is not None and delta.rows.size:
-            items.append(None)  # the delta pseudo-leaf rides the same queue
-        position = 0
-        while position < len(ordered_leaves):
-            min_bound = float(ordered_bounds[position])
-            group, position = self._take_group(ordered_leaves, ordered_bounds,
-                                               position)
-            items.append((min_bound, group))
-
-        def process(item, worker_stats: SearchStats) -> None:
-            if deadline_expired(deadline):
-                # Checked at claim time: workers stop picking up new items
-                # once the budget is gone, and the shared heap keeps every
-                # already-refined distance as the finalized best-so-far.
-                worker_stats.timed_out = True
-                return
-            if item is None:
-                self._refine_delta(query, query_summary, heap, worker_stats,
-                                   delta, deadline=deadline)
-                return
-            min_bound, group = item
-            if min_bound > heap.threshold:
-                # Strictly worse than the shared BSF; a group *at* the
-                # threshold may hold a smaller-row tie winner and is refined
-                # (see ``_admissible`` for why this is what keeps answers
-                # schedule-independent).
-                worker_stats.leaves_pruned_in_queue += len(group)
-                return
-            self._refine_leaves(query, query_summary, group, heap, worker_stats,
-                                delta=delta, deadline=deadline)
-
-        merge_search_stats(stats, self._worker_pool(num_workers).map_shared(
-            process, items, make_state=SearchStats))
 
     def _refine_leaves(self, query: np.ndarray, query_summary: np.ndarray,
                        leaves: list[LeafNode], heap, stats: SearchStats,

@@ -21,10 +21,9 @@ total order.  The design goals, in order:
 * **Cross-shard pruning.**  Single-query ``knn`` searches every shard on a
   :class:`~repro.index.search.BestSoFar` whose parent is one shared
   cross-shard heap: one shard's tightened best-so-far prunes every other
-  shard's remaining work, exactly like the intra-query parallel engine's
-  shared BSF — admissible because the published threshold never drops below
-  the true global k-th distance and the tie-tolerant filters keep
-  candidates *at* the threshold.
+  shard's remaining work — admissible because the published threshold
+  never drops below the true global k-th distance and the tie-tolerant
+  filters keep candidates *at* the threshold.
 * **One attempt path.**  What one shard contributes to a scatter is computed
   by :func:`shard_answer` — in this process, or inside a worker process that
   ships the same tuple back (:mod:`repro.cluster`); everything after it
@@ -102,7 +101,6 @@ from repro.index.shard_health import (
 )
 from repro.index.stats import merge_search_stats
 from repro.obs.metrics import get_registry
-from repro.parallel.pool import WorkerPool
 
 _REGISTRY = get_registry()
 _SHARD_SCATTERS = _REGISTRY.counter(
@@ -208,12 +206,11 @@ def shard_answer(engine, queries: np.ndarray, k: int,
                 [np.empty(0)] * count,
                 [SearchStats(num_series=0) for _ in range(count)], surviving)
     if single:
-        results = [engine.knn(queries, k=effective_k, num_workers=1,
-                              timeout_s=timeout_s, shared_best=best)]
+        results = [engine.knn(queries, k=effective_k, timeout_s=timeout_s,
+                              shared_best=best)]
         normalized = znormalize(queries)[None, :]
     else:
-        results = engine.knn_batch(queries, k=effective_k, num_workers=1,
-                                   timeout_s=timeout_s)
+        results = engine.knn_batch(queries, k=effective_k, timeout_s=timeout_s)
         normalized = znormalize_batch(queries)
     ids = [result.indices for result in results]
     squared = [canonical_squared(query, engine.gather_values(rows))
@@ -227,8 +224,7 @@ def shard_probe(engine) -> int:
     Returns the shard's surviving-row count."""
     surviving = int(engine.num_surviving)
     if surviving > 0:
-        engine.knn(np.asarray(engine.tree.dataset.values)[0], k=1,
-                   num_workers=1)
+        engine.knn(np.asarray(engine.tree.dataset.values)[0], k=1)
     return surviving
 
 
@@ -292,16 +288,14 @@ class ShardedIndex:
 
     @classmethod
     def build(cls, values, path, *, num_shards: int, index_factory=None,
-              num_workers: "int | None" = None, **load_options) -> "ShardedIndex":
+              **load_options) -> "ShardedIndex":
         """Partition ``values`` into contiguous shards, build and persist each.
 
-        Shards are built in parallel through the established
-        :class:`~repro.parallel.pool.WorkerPool` (each shard's own build runs
-        single-threaded, so the fan-out is the parallelism).  Every shard
-        normalizes its rows exactly as one unsharded build over the full
-        matrix would — per-series z-normalization is row-independent — which
-        is half of the bit-identity contract; the other half is the gather
-        (see :meth:`knn`).  ``index_factory`` supplies the per-shard index
+        Shards are built one after another.  Every shard normalizes its
+        rows exactly as one unsharded build over the full matrix would —
+        per-series z-normalization is row-independent — which is half of
+        the bit-identity contract; the other half is the gather (see
+        :meth:`knn`).  ``index_factory`` supplies the per-shard index
         (default :class:`~repro.index.sofa.SofaIndex` with its defaults);
         ``load_options`` are forwarded to :meth:`load`.
         """
@@ -339,11 +333,12 @@ class ShardedIndex:
 
             rows = matrix[offsets[shard_index]:offsets[shard_index + 1]]
             index = index_factory()
-            index.build(Dataset(rows), num_workers=1)
+            index.build(Dataset(rows))
             index_types[shard_index] = _resolve_tree(index)[1]
             save_index(index, path / _shard_dirname(shard_index))
 
-        WorkerPool(num_workers).map(build_one, range(num_shards))
+        for shard_index in range(num_shards):
+            build_one(shard_index)
         shards = [_Shard(i, path / _shard_dirname(i),
                          np.arange(offsets[i], offsets[i + 1], dtype=np.int64),
                          int(counts[i]))
@@ -638,8 +633,7 @@ class ShardedIndex:
 
     # -------------------------------------------------------------- queries
 
-    def knn(self, query, k: int = 1, num_workers: "int | None" = None,
-            timeout_s: "float | None" = None,
+    def knn(self, query, k: int = 1, timeout_s: "float | None" = None,
             degraded: "str | None" = None,
             trace=None) -> SearchResult:
         """Exact k-NN by scatter-gather with cross-shard best-so-far pruning.
@@ -650,8 +644,7 @@ class ShardedIndex:
         shards' rows, with ``stats.partial=True`` and ``stats.coverage ==
         (N-K)/N``; under ``"forbid"`` a typed
         :class:`~repro.core.errors.PartialResultError` raises instead (as it
-        always does when *no* shard answers).  ``num_workers`` is accepted
-        for engine-interface compatibility; the scatter itself is the
+        always does when *no* shard answers).  The scatter itself is the
         parallelism (each shard searches single-threaded).
 
         If a shard attempt fails *after* contributing candidates to the
@@ -717,12 +710,10 @@ class ShardedIndex:
         result.stats.wall_time_s = time.perf_counter() - wall_start
         return result
 
-    def nearest_neighbor(self, query, num_workers: "int | None" = None,
-                         timeout_s: "float | None" = None,
+    def nearest_neighbor(self, query, timeout_s: "float | None" = None,
                          degraded: "str | None" = None) -> SearchResult:
         """Exact 1-NN over the surviving shards (see :meth:`knn`)."""
-        return self.knn(query, k=1, num_workers=num_workers,
-                        timeout_s=timeout_s, degraded=degraded)
+        return self.knn(query, k=1, timeout_s=timeout_s, degraded=degraded)
 
     def _attempt(self, shard: _Shard, slice_deadline: "float | None", *,
                  queries: np.ndarray, k: int,
@@ -795,8 +786,7 @@ class ShardedIndex:
                 np.concatenate([squared for _, squared in parts]), stats, k))
         return results
 
-    def knn_batch(self, queries, k: int = 1, num_workers: "int | None" = None,
-                  timeout_s: "float | None" = None,
+    def knn_batch(self, queries, k: int = 1, timeout_s: "float | None" = None,
                   degraded: "str | None" = None) -> "list[SearchResult]":
         """Batched scatter-gather: one ``knn_batch`` per shard, merged per query.
 
@@ -824,7 +814,6 @@ class ShardedIndex:
     def _merged_stats(self, parts: "list[SearchStats]", surviving_total: int,
                       shards_total: int, shards_answered: int) -> SearchStats:
         stats = SearchStats(num_series=surviving_total,
-                            num_workers=max(1, shards_answered),
                             shards_total=shards_total,
                             shards_answered=shards_answered,
                             partial=shards_answered < shards_total)
@@ -960,7 +949,7 @@ class ShardedIndex:
             raise IndexError_(
                 f"row {row} is not mapped by any shard of this index")
 
-    def compact(self, num_workers: "int | None" = None) -> "dict[int, int]":
+    def compact(self) -> "dict[int, int]":
         """Compact every healthy shard in place; global ids are *stable*.
 
         Each shard's engine rebuild renumbers its local rows; the shard's
@@ -984,7 +973,7 @@ class ShardedIndex:
                     previous = shard.globals_map
                     shard.version += 1  # odd: queries wait out the rewrite
                     try:
-                        mapping = engine.compact(num_workers=num_workers)
+                        mapping = engine.compact()
                         surviving_old = np.flatnonzero(mapping >= 0)
                         rewritten = np.empty(surviving_old.shape[0],
                                              dtype=np.int64)

@@ -36,10 +36,6 @@ class SofaIndex(TreeFacade):
         instead of taking the first components.
     sample_fraction:
         Fraction of the data used by MCB to learn bins (1 % in the paper).
-    num_workers:
-        Worker threads used by both construction stages (``None`` = the
-        ``REPRO_NUM_WORKERS`` process default); the built index is
-        bit-identical for every worker count.
     builder:
         Subtree builder, see :class:`~repro.index.tree.TreeIndex`
         (``"vectorized"`` default, ``"recursive"`` reference).
@@ -53,7 +49,6 @@ class SofaIndex(TreeFacade):
                  variance_selection: bool = True, sample_fraction: float = 0.01,
                  num_candidate_coefficients: int | None = 16,
                  split_policy: str = "balanced", random_state: int = 0,
-                 num_workers: "int | None" = None,
                  builder: str = "vectorized") -> None:
         super().__init__(
             SFA(
@@ -66,7 +61,7 @@ class SofaIndex(TreeFacade):
                 random_state=random_state,
             ),
             leaf_size=leaf_size, split_policy=split_policy,
-            num_workers=num_workers, builder=builder)
+            builder=builder)
 
     def mean_selected_coefficient_index(self) -> float:
         """Mean index of the selected Fourier coefficients (Figure 13 x-axis)."""

@@ -16,22 +16,18 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard (search imports stats
 
 def merge_search_stats(into: "SearchStats",
                        parts: "Iterable[SearchStats]") -> "SearchStats":
-    """Merge per-worker search stats into one deterministic query report.
+    """Merge per-shard search stats into one deterministic query report.
 
-    The intra-query parallel engine gives every worker thread its own
-    :class:`~repro.index.search.SearchStats` so the hot refinement loop never
-    contends on shared counters; this merge folds them into the query-level
-    report afterwards.  ``parts`` must be ordered by worker index (as
-    :meth:`~repro.parallel.pool.WorkerPool.map_shared` returns them), never
+    The sharded gather gives every shard search its own
+    :class:`~repro.index.search.SearchStats`; this merge folds them into the
+    query-level report afterwards.  ``parts`` must be ordered by shard, never
     by completion time, so the merge *procedure* is deterministic.  The
-    merged values themselves still reflect one concurrent run — which worker
-    claimed which item, and how much work BSF pruning saved, depend on
-    thread timing.  Counters and ``refinement_time`` sum (workers time
-    nothing themselves: the drain's wall time is added by its caller; the
-    sharded gather sums its shards' refinement phases); the sequential
-    phases (``approximate_time``, ``traversal_time``) and the whole-query
-    ``wall_time_s`` belong to ``into`` and are left untouched — a worker's
-    lifetime is contained in the query's wall time, not added to it.
+    merged values themselves still reflect one concurrent run — how much
+    work a shared best-so-far saved depends on thread timing.  Counters and
+    ``refinement_time`` sum; the phases ``approximate_time`` and
+    ``traversal_time`` and the whole-query ``wall_time_s`` belong to ``into``
+    and are left untouched — a shard search's lifetime is contained in the
+    query's wall time, not added to it.
     """
     for part in parts:
         into.leaves_visited += part.leaves_visited
@@ -40,7 +36,7 @@ def merge_search_stats(into: "SearchStats",
         into.series_lower_bounds += part.series_lower_bounds
         into.exact_distances += part.exact_distances
         into.refinement_time += part.refinement_time
-        # Any worker hitting the search deadline marks the whole query.
+        # Any shard hitting the search deadline marks the whole query.
         into.timed_out = into.timed_out or part.timed_out
     return into
 
@@ -54,7 +50,7 @@ def summarize_search_stats(parts: "Iterable[SearchStats]") -> dict:
     pruning ratio over the aggregated work (exact distances over series
     served, the same definition as the per-query property).  Unlike
     :func:`merge_search_stats` this never mutates its inputs and reports
-    *across* queries rather than across one query's workers.
+    *across* queries rather than across one query's shards.
 
     An **empty iterable** yields the well-formed zeroed summary: every
     counter 0, ``wall_time_s``/``engine_time_s`` 0.0, and the ratio fields

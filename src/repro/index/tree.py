@@ -8,25 +8,24 @@ The only differences are which summarization produces the words and which
 per-dimension weights enter the lower bound — both are encapsulated in the
 :class:`~repro.transforms.base.SymbolicSummarization` passed to the tree.
 
-Construction follows the paper's two index stages (Figure 5), and actually
-exploits their parallel structure:
+Construction follows the paper's two index stages (Figure 5):
 
-1. summarize every series into full-resolution words — the chunks are mapped
-   over a :class:`~repro.parallel.pool.WorkerPool` (the FFT / ``searchsorted``
-   kernels release the GIL) and grouped into per-root-child buffers;
-2. build each root subtree independently from its buffer — one pool work item
-   per root child, dispatched largest-buffer-first (a greedy longest-first
-   schedule), splitting any node that exceeds ``leaf_size`` by appending one
-   bit to the dimension that balances the two children best.  The default
-   ``"vectorized"`` builder grows each subtree a whole *frontier* of nodes per
-   pass (vectorized bit extraction, split scoring and stable partitioning)
-   instead of recursing node by node; the seed ``"recursive"`` builder is kept
-   as the reference implementation.
+1. summarize every series into full-resolution words, chunk by chunk, and
+   group them into per-root-child buffers;
+2. build each root subtree independently from its buffer, splitting any node
+   that exceeds ``leaf_size`` by appending one bit to the dimension that
+   balances the two children best.  The default ``"vectorized"`` builder
+   grows each subtree a whole *frontier* of nodes per pass (vectorized bit
+   extraction, split scoring and stable partitioning) instead of recursing
+   node by node; the seed ``"recursive"`` builder is kept as the reference
+   implementation.
 
-The built tree is bit-identical for every ``num_workers`` and for both
-builders: same shape, same leaf payloads, same directory arrays, same
-query answers.  :class:`BuildTimings` records the measured wall time of each
-stage and of the whole build (Figure 7).
+The paper runs both stages on many threads.  Here they run on one: the GIL
+made a multi-threaded build slower (a 100 000-series SOFA build took 0.95 s
+on one thread and 1.02 s on two, on a 2-core machine).  Both builders give
+bit-identical trees: same shape, same leaf payloads, same directory arrays,
+same query answers.  :class:`BuildTimings` records the measured wall time of
+each stage and of the whole build (Figure 7).
 """
 
 from __future__ import annotations
@@ -41,7 +40,6 @@ from repro.core.series import Dataset
 from repro.core.simd import batch_lower_bound, batch_lower_bound_multi
 from repro.index.buffers import SummaryBuffer, fill_buffers
 from repro.index.node import InnerNode, LeafNode, Node, root_child_word
-from repro.parallel.pool import WorkerPool, resolve_num_workers
 from repro.transforms.base import SymbolicSummarization
 
 #: Node-splitting policies supported by the tree.
@@ -85,14 +83,8 @@ class TreeIndex:
         most evenly (the iSAX2.0/MESSI heuristic); ``"round-robin"`` cycles
         through dimensions in order.
     transform_chunks:
-        Number of chunks the summarization stage is divided into; each chunk is
-        one work item for the worker pool.
-    num_workers:
-        Worker threads used by both construction stages.  ``None`` (the
-        default) falls back to the process default
-        (:func:`repro.parallel.pool.default_num_workers`, settable through the
-        ``REPRO_NUM_WORKERS`` environment variable).  The built index is
-        bit-identical for every worker count.
+        Number of chunks the summarization stage is divided into (bounds the
+        memory of one transform call; recorded in snapshot manifests).
     builder:
         ``"vectorized"`` (default) grows subtrees frontier-at-a-time with
         vectorized splitting; ``"recursive"`` is the seed per-node reference
@@ -101,7 +93,6 @@ class TreeIndex:
 
     def __init__(self, summarization: SymbolicSummarization, leaf_size: int = 100,
                  split_policy: str = "balanced", transform_chunks: int = 36,
-                 num_workers: "int | None" = None,
                  builder: str = "vectorized") -> None:
         if leaf_size < 1:
             raise InvalidParameterError(f"leaf_size must be >= 1, got {leaf_size}")
@@ -111,10 +102,6 @@ class TreeIndex:
             )
         if transform_chunks < 1:
             raise InvalidParameterError("transform_chunks must be >= 1")
-        if num_workers is not None and num_workers < 1:
-            raise InvalidParameterError(
-                f"num_workers must be >= 1 or None, got {num_workers}"
-            )
         if builder not in BUILDERS:
             raise InvalidParameterError(
                 f"builder must be one of {BUILDERS}, got '{builder}'"
@@ -123,7 +110,6 @@ class TreeIndex:
         self.leaf_size = leaf_size
         self.split_policy = split_policy
         self.transform_chunks = transform_chunks
-        self.num_workers = num_workers
         self.builder = builder
 
         self.dataset: Dataset | None = None
@@ -155,21 +141,11 @@ class TreeIndex:
             raise IndexError_("index has not been built yet")
         return self.dataset.num_series
 
-    def build(self, dataset: Dataset,
-              num_workers: "int | None" = None) -> "TreeIndex":
-        """Fit the summarization, summarize all series and grow the tree.
-
-        ``num_workers`` overrides the constructor's worker count for this
-        build only (``None`` keeps it).  The built index — tree shape, leaf
-        payloads, directory arrays, query answers — is bit-identical for
-        every worker count.
-        """
+    def build(self, dataset: Dataset) -> "TreeIndex":
+        """Fit the summarization, summarize all series and grow the tree."""
         if not isinstance(dataset, Dataset):
             dataset = Dataset(np.asarray(dataset, dtype=np.float64))
         self.dataset = dataset
-        workers = resolve_num_workers(
-            self.num_workers if num_workers is None else num_workers)
-        pool = WorkerPool(workers)
         timings = BuildTimings()
         wall_start = time.perf_counter()
 
@@ -177,23 +153,19 @@ class TreeIndex:
         self.summarization.fit(dataset)
         timings.learn_time = time.perf_counter() - start
 
-        words = self._summarize_in_chunks(dataset, timings, pool)
+        words = self._summarize_in_chunks(dataset, timings)
         self._words = words
 
         buffers = fill_buffers(words, self.summarization.bits)
         build_subtree = (self._build_subtree if self.builder == "recursive"
                          else self._build_subtree_bulk)
 
-        # One work item per root child.  ``fill_buffers`` orders the buffers
-        # largest first, so FIFO pickup by the pool's workers realizes the
-        # greedy longest-processing-time-first schedule; results are
-        # reassembled in buffer order, so the root-children dict (and every
-        # downstream array) is deterministic.
+        # One subtree per root child, in buffer order, so the root-children
+        # dict (and every downstream array) is deterministic.
         start = time.perf_counter()
-        subtrees = pool.map(build_subtree, buffers)
+        self.root_children = {buffer.key: build_subtree(buffer)
+                              for buffer in buffers}
         timings.tree_time = time.perf_counter() - start
-        self.root_children = {buffer.key: subtree
-                              for buffer, subtree in zip(buffers, subtrees)}
         self._build_leaf_directory()
         timings.wall_time = time.perf_counter() - wall_start
         self.timings = timings
@@ -206,14 +178,13 @@ class TreeIndex:
         (:meth:`~repro.transforms.base.SymbolicSummarization.clone_unfitted`),
         so building the clone re-learns it on whatever dataset it is given —
         exactly what a scratch build would do.  Compaction of a dynamic index
-        uses this to merge its delta through the parallel build pipeline while
+        uses this to merge its delta through the build pipeline while
         staying bit-identical to a fresh build on the surviving series.
         """
         return TreeIndex(self.summarization.clone_unfitted(),
                          leaf_size=self.leaf_size,
                          split_policy=self.split_policy,
                          transform_chunks=self.transform_chunks,
-                         num_workers=self.num_workers,
                          builder=self.builder)
 
     def _build_leaf_directory(self) -> None:
@@ -296,14 +267,12 @@ class TreeIndex:
                                        self.summarization.weights)
         return bounds, self._series_rows
 
-    def _summarize_in_chunks(self, dataset: Dataset, timings: BuildTimings,
-                             pool: WorkerPool) -> np.ndarray:
-        """Stage-1 summarization, chunked so each chunk is one pool work item.
+    def _summarize_in_chunks(self, dataset: Dataset,
+                             timings: BuildTimings) -> np.ndarray:
+        """Stage-1 summarization, one transform call per chunk.
 
-        Chunks are mapped over the worker pool (the FFT and ``searchsorted``
-        kernels release the GIL) and the blocks are reassembled in chunk
-        order, so the word matrix is identical for any worker count.  The
-        stage's wall time is recorded as ``timings.transform_time``.
+        The blocks are stacked in chunk order.  The stage's wall time is
+        recorded as ``timings.transform_time``.
         """
         chunks = [chunk for chunk in
                   np.array_split(np.arange(dataset.num_series),
@@ -312,8 +281,7 @@ class TreeIndex:
         values = dataset.values
 
         start = time.perf_counter()
-        blocks = pool.map(lambda chunk: self.summarization.words(values[chunk]),
-                          chunks)
+        blocks = [self.summarization.words(values[chunk]) for chunk in chunks]
         timings.transform_time = time.perf_counter() - start
         return np.vstack(blocks)
 
@@ -598,7 +566,7 @@ class TreeIndex:
         """Squared lower bounds between query summaries and every leaf's region.
 
         One vectorized kernel call over the leaf directory — the query-time
-        analogue of MESSI's parallel subtree traversal.  A 1-D summary yields
+        analogue of MESSI's subtree traversal.  A 1-D summary yields
         one bound per leaf; a ``(Q, l)`` summary matrix yields the full
         ``(Q, num_leaves)`` bound matrix of the batched engine.
         """

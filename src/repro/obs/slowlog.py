@@ -12,7 +12,7 @@ configured, appended as one JSON line to a file an operator can tail.
 Entry format (all times in seconds)::
 
     {"ts": ..., "index": "lendb", "k": 5, "wall_time_s": 0.041,
-     "timed_out": false, "partial": false, "num_workers": 4,
+     "timed_out": false, "partial": false,
      "breakdown": {"approximate_s": ..., "traversal_s": ...,
                    "refinement_s": ..., "engine_wall_s": ...},
      "work": {"leaves_visited": ..., "series_lower_bounds": ...,
@@ -77,7 +77,6 @@ class SlowQueryLog:
             entry.update({
                 "timed_out": bool(stats.timed_out),
                 "partial": bool(stats.partial),
-                "num_workers": int(stats.num_workers),
                 "breakdown": {
                     "approximate_s": float(stats.approximate_time),
                     "traversal_s": float(stats.traversal_time),

@@ -60,8 +60,8 @@ class Trace:
     """A thread-safe, append-only list of spans for one query.
 
     The lock only matters for detail spans recorded from worker threads
-    (parallel refinement, concurrent shard futures); phases are appended
-    from the single thread driving the query.
+    (concurrent shard futures); phases are appended from the single thread
+    driving the query.
     """
 
     __slots__ = ("_lock", "_spans")

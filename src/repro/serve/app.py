@@ -274,7 +274,6 @@ class SearchApp:
             # attached after this call takes effect without a new queue.
             entry.batcher = KnnBatcher(
                 lambda: entry.engine,
-                num_workers=self.config.num_workers,
                 max_batch=self.config.batch_max_size,
                 max_wait_s=self.config.batch_max_wait_s,
                 name=f"knn-{name}",
@@ -497,9 +496,8 @@ class SearchApp:
         if entry.batcher is not None and query_trace is None:
             result = entry.batcher.submit(query, k, timeout_s)
         else:
-            result = entry.engine.knn(query, k=k,
-                                      num_workers=self.config.num_workers,
-                                      timeout_s=timeout_s, trace=query_trace)
+            result = entry.engine.knn(query, k=k, timeout_s=timeout_s,
+                                      trace=query_trace)
         entry.observe_query(result.stats)
         if self.slow_log is not None:
             logged = self.slow_log.observe(
@@ -635,7 +633,7 @@ class SearchApp:
         inodes outlive the unlink).
         """
         entry = self._writable(name)
-        outcome = entry.engine.compact(num_workers=self.config.num_workers)
+        outcome = entry.engine.compact()
         entry.generation += 1
         sharded = isinstance(entry.engine, ShardedIndex)
         if sharded:

@@ -53,9 +53,6 @@ class KnnBatcher:
         up once per drained batch — not once at construction — so a hot
         snapshot reload (the app swapping an index's engine) takes effect on
         the next batch without tearing the queue down.
-    num_workers:
-        Worker threads handed to every ``knn_batch`` call (``None`` = the
-        ``REPRO_NUM_WORKERS`` process default).
     max_batch / max_wait_s / name / max_pending / callers:
         Forwarded to :class:`~repro.parallel.batching.MicroBatchQueue`
         (``max_pending`` bounds the backlog: beyond it ``submit`` sheds the
@@ -66,12 +63,11 @@ class KnnBatcher:
     """
 
     def __init__(self, get_engine: Callable[[], Any], *,
-                 num_workers: "int | None" = None, max_batch: int = 64,
+                 max_batch: int = 64,
                  max_wait_s: float = 0.002, name: str = "knn",
                  max_pending: "int | None" = None,
                  callers: "Callable[[], int | None] | None" = None) -> None:
         self._get_engine = get_engine
-        self._num_workers = num_workers
         self._queue = MicroBatchQueue(self._process, max_batch=max_batch,
                                       max_wait_s=max_wait_s, name=name,
                                       max_pending=max_pending,
@@ -128,9 +124,7 @@ class KnnBatcher:
         for (k, timeout_s), members in groups.items():
             queries = np.stack([query for _, query in members])
             try:
-                results = engine.knn_batch(queries, k=k,
-                                           num_workers=self._num_workers,
-                                           timeout_s=timeout_s)
+                results = engine.knn_batch(queries, k=k, timeout_s=timeout_s)
             except ReproError as error:
                 for position, _ in members:
                     outcomes[position] = error

@@ -41,9 +41,6 @@ class ServeConfig:
         :class:`~repro.serve.routes.IndexServer` the window closes earlier,
         as soon as every open client connection has a ``/knn`` queued (no
         other request could join), so a lone client never waits for it.
-    num_workers:
-        Worker threads handed to the engines (``None`` = the
-        ``REPRO_NUM_WORKERS`` process default).
     request_body_limit:
         Largest accepted HTTP request body, in bytes (oversized requests get
         a typed 400 rather than an allocation).
@@ -93,7 +90,6 @@ class ServeConfig:
     batching: bool = True
     batch_max_size: int = 64
     batch_max_wait_s: float = 0.002
-    num_workers: "int | None" = None
     request_body_limit: int = field(default=16 * 1024 * 1024)
     max_pending: "int | None" = 256
     retry_after_s: float = 1.0

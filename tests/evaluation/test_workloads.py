@@ -7,7 +7,6 @@ from repro.baselines.serial_scan import SerialScan
 from repro.core.errors import InvalidParameterError
 from repro.datasets.registry import load_dataset
 from repro.evaluation.workloads import METHODS, WorkloadRunner
-from repro.parallel.pool import NUM_WORKERS_ENV
 
 
 @pytest.fixture(scope="module")
@@ -29,16 +28,6 @@ class TestMethodFactory:
     def test_sofa_kwargs_forwarded(self):
         runner = WorkloadRunner(sofa_kwargs={"binning": "equi-depth"})
         assert runner.make_method("SOFA").summarization.binning == "equi-depth"
-
-    def test_tree_indexes_build_with_one_worker(self, monkeypatch):
-        monkeypatch.setenv(NUM_WORKERS_ENV, "4")
-        runner = WorkloadRunner()
-        assert runner.make_method("SOFA").tree.num_workers == 1
-        assert runner.make_method("MESSI").tree.num_workers == 1
-
-    def test_explicit_sofa_num_workers_wins_over_the_pin(self):
-        runner = WorkloadRunner(sofa_kwargs={"num_workers": 2})
-        assert runner.make_method("SOFA").tree.num_workers == 2
 
 
 class TestRunDataset:
@@ -66,13 +55,13 @@ class TestRunDataset:
             assert record.mean_exact_distances > 0.0
 
     def test_work_counts_are_the_engines_own(self, tiny_workload):
-        """The tree records carry each query's 1-worker SearchStats counts;
+        """The tree records carry each query's SearchStats counts;
         the brute-force baselines compute every distance and no bound."""
         index_set, queries = tiny_workload
         runner = WorkloadRunner(leaf_size=30)
         result = runner.run_dataset(index_set, queries, methods=("SOFA", "FAISS"))
         sofa = runner.make_method("SOFA").build(index_set)
-        expected = [sofa.knn(query, k=1, num_workers=1).stats
+        expected = [sofa.knn(query, k=1).stats
                     for query in queries.values]
         record = result.query_record(index_set.name, "SOFA")
         assert record.exact_distances == [s.exact_distances for s in expected]
@@ -131,20 +120,6 @@ class TestRunDataset:
         pooled = [count for record in result.query_records
                   for count in record.exact_distances]
         assert result.mean_exact_distances("MESSI") == pytest.approx(np.mean(pooled))
-
-    def test_queries_run_on_one_worker_whatever_the_env(self, tiny_workload,
-                                                         monkeypatch):
-        """``REPRO_NUM_WORKERS`` would fan each query out over threads; the
-        runner's records are the 1-worker engine's all the same."""
-        index_set, queries = tiny_workload
-        monkeypatch.setenv(NUM_WORKERS_ENV, "4")
-        runner = WorkloadRunner(leaf_size=30)
-        result = runner.run_dataset(index_set, queries, methods=("MESSI",))
-        messi = runner.make_method("MESSI").build(index_set)
-        expected = [messi.knn(query, k=1, num_workers=1).stats
-                    for query in queries.values]
-        record = result.query_record(index_set.name, "MESSI")
-        assert record.exact_distances == [s.exact_distances for s in expected]
 
     def test_faiss_charges_every_query_an_equal_share(self, tiny_workload):
         index_set, queries = tiny_workload

@@ -204,7 +204,6 @@ class TestEveryDocumentedFailureIsTyped:
             lambda: index.knn(np.zeros(length + 1)),
             lambda: index.knn(query, timeout_s="1"),
             lambda: index.knn(query, timeout_s=0),
-            lambda: index.knn(query, num_workers=0),
             lambda: index.knn_batch(query[None, :], k=2.5),
             lambda: index.knn_batch(None),
             lambda: index.knn_batch([[1.0, 2.0], [3.0]]),
@@ -238,10 +237,6 @@ class TestEmptyBatchContract:
     def test_dynamic_engine_returns_empty_list(self, dynamic_index):
         empty = np.empty((0, SERIES_LENGTH))
         assert dynamic_index.knn_batch(empty, k=3) == []
-
-    def test_empty_batch_with_workers(self, sofa_index):
-        empty = np.empty((0, SERIES_LENGTH))
-        assert sofa_index.knn_batch(empty, k=1, num_workers=4) == []
 
     def test_empty_batch_still_validates_inputs(self, sofa_index):
         with pytest.raises(ValidationError):

@@ -59,13 +59,6 @@ class TestExactEquivalence:
         _assert_results_identical(via_tree.knn_batch(queries.values, k=5),
                                   via_flat.knn_batch(queries.values, k=5))
 
-    def test_worker_sharding_matches_single_thread(self, built_tree):
-        tree, queries = built_tree
-        batcher = BatchSearcher(tree)
-        single = batcher.knn_batch(queries.values, k=3)
-        sharded = batcher.knn_batch(queries.values, k=3, num_workers=4)
-        _assert_results_identical(sharded, single)
-
     def test_tied_distances_select_identical_neighbours(self):
         """Duplicate series force exact distance ties; both engines must keep
         the same rows (smaller dataset row wins under the shared total order)."""

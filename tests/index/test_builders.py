@@ -1,10 +1,10 @@
-"""Property tests for the parallel/vectorized construction pipeline.
+"""Property tests for the vectorized construction pipeline.
 
 The contract of :meth:`repro.index.tree.TreeIndex.build` is that the built
 index is *bit-identical* no matter how it was built: vectorized frontier
-builder vs the seed recursive builder, one worker vs many.  Same tree shape,
-same leaf payloads, same directory arrays, same snapshots on disk, same
-``knn`` / ``knn_batch`` answers.
+builder vs the seed recursive builder.  Same tree shape, same leaf payloads,
+same directory arrays, same snapshots on disk, same ``knn`` / ``knn_batch``
+answers.
 """
 
 from __future__ import annotations
@@ -33,10 +33,10 @@ DIRECTORY_ATTRIBUTES = ("_leaf_lower", "_leaf_upper", "_series_lower",
                         "_leaf_offsets")
 
 
-def make_index(kind: str, leaf_size: int = 25, num_workers=None,
+def make_index(kind: str, leaf_size: int = 25,
                builder: str = "vectorized") -> "SofaIndex | MessiIndex":
     common = dict(word_length=8, alphabet_size=16, leaf_size=leaf_size,
-                  num_workers=num_workers, builder=builder)
+                  builder=builder)
     if kind == "SOFA":
         return SofaIndex(sample_fraction=1.0, **common)
     return MessiIndex(**common)
@@ -125,83 +125,79 @@ class TestBuilderEquivalence:
             assert np.array_equal(expected.distances, actual.distances)
 
 
-class TestWorkerCountInvariance:
-    """build(num_workers=4) is bit-identical to build(num_workers=1)."""
+class TestEdgeShapes:
+    """Both builders agree on snapshots, batches and degenerate trees."""
 
     @pytest.mark.parametrize("kind", list(INDEXES))
     def test_trees_snapshots_and_batches_match(self, clustered_split, tmp_path,
                                                kind):
         index_set, queries = clustered_split
-        serial = make_index(kind, num_workers=1).build(index_set)
-        threaded = make_index(kind).build(index_set, num_workers=4)
-        assert_identical_trees(serial.tree, threaded.tree)
+        reference = make_index(kind, builder="recursive").build(index_set)
+        vectorized = make_index(kind).build(index_set)
+        assert_identical_trees(reference.tree, vectorized.tree)
 
-        serial.save(tmp_path / "serial")
-        threaded.save(tmp_path / "threaded")
-        assert_identical_snapshots(tmp_path / "serial", tmp_path / "threaded")
+        reference.save(tmp_path / "reference")
+        vectorized.save(tmp_path / "vectorized")
+        assert_identical_snapshots(tmp_path / "reference",
+                                   tmp_path / "vectorized")
 
         for k in (1, 5):
-            for expected, actual in zip(serial.knn_batch(queries.values, k=k),
-                                        threaded.knn_batch(queries.values, k=k)):
+            for expected, actual in zip(reference.knn_batch(queries.values, k=k),
+                                        vectorized.knn_batch(queries.values, k=k)):
                 assert np.array_equal(expected.indices, actual.indices)
                 assert np.array_equal(expected.distances, actual.distances)
 
     @pytest.mark.parametrize("kind", list(INDEXES))
     def test_single_leaf_tree(self, kind):
         """All-positive unnormalized values share every top SAX bit: one root
-        child, one leaf — identical for any worker count and builder.  (SFA
+        child, one leaf — identical for both builders.  (SFA
         words fan out even here, so the single-leaf shape is asserted for
         MESSI only; the equivalences hold for both.)"""
         values = np.abs(np.random.default_rng(11).normal(5.0, 0.5,
                                                          size=(30, 64))) + 1.0
         dataset = Dataset(values, name="positive", normalize=False)
-        serial = make_index(kind, leaf_size=100, num_workers=1).build(dataset)
-        threaded = make_index(kind, leaf_size=100, num_workers=4).build(dataset)
+        vectorized = make_index(kind, leaf_size=100).build(dataset)
         reference = make_index(kind, leaf_size=100,
                                builder="recursive").build(dataset)
         if kind == "MESSI":
-            assert len(serial.tree.leaf_nodes) == 1
-        assert_identical_trees(serial.tree, threaded.tree)
-        assert_identical_trees(reference.tree, serial.tree)
+            assert len(vectorized.tree.leaf_nodes) == 1
+        assert_identical_trees(reference.tree, vectorized.tree)
 
     @pytest.mark.parametrize("kind", list(INDEXES))
     def test_leaf_size_one(self, walk_dataset, kind):
-        serial = make_index(kind, leaf_size=1, num_workers=1).build(walk_dataset)
-        threaded = make_index(kind, leaf_size=1, num_workers=4).build(walk_dataset)
-        assert_identical_trees(serial.tree, threaded.tree)
+        reference = make_index(kind, leaf_size=1,
+                               builder="recursive").build(walk_dataset)
+        vectorized = make_index(kind, leaf_size=1).build(walk_dataset)
+        assert_identical_trees(reference.tree, vectorized.tree)
         query = walk_dataset.values[3]
-        assert np.array_equal(serial.knn(query, k=3).indices,
-                              threaded.knn(query, k=3).indices)
+        assert np.array_equal(reference.knn(query, k=3).indices,
+                              vectorized.knn(query, k=3).indices)
 
     @pytest.mark.parametrize("kind", list(INDEXES))
     def test_all_duplicate_words(self, kind):
         """Identical series produce identical words: the root child cannot be
-        split and becomes one oversized leaf, for every worker count."""
+        split and becomes one oversized leaf, for both builders."""
         row = np.sin(np.linspace(0.0, 6.0, 64))
         dataset = Dataset(np.tile(row, (40, 1)), name="dup", normalize=False)
-        serial = make_index(kind, leaf_size=5, num_workers=1).build(dataset)
-        threaded = make_index(kind, leaf_size=5, num_workers=4).build(dataset)
+        vectorized = make_index(kind, leaf_size=5).build(dataset)
         reference = make_index(kind, leaf_size=5,
                                builder="recursive").build(dataset)
-        assert len(serial.tree.leaf_nodes) == 1
-        assert serial.tree.leaf_nodes[0].size == 40
-        assert_identical_trees(serial.tree, threaded.tree)
-        assert_identical_trees(reference.tree, serial.tree)
+        assert len(vectorized.tree.leaf_nodes) == 1
+        assert vectorized.tree.leaf_nodes[0].size == 40
+        assert_identical_trees(reference.tree, vectorized.tree)
 
 
 @given(seed=st.integers(min_value=0, max_value=2**16),
        num_series=st.integers(min_value=2, max_value=60),
-       leaf_size=st.integers(min_value=1, max_value=30),
-       num_workers=st.sampled_from([2, 3, 4]))
+       leaf_size=st.integers(min_value=1, max_value=30))
 @settings(max_examples=15, deadline=None)
-def test_build_invariance_property(seed, num_series, leaf_size, num_workers):
-    """For random small datasets, builders and worker counts all agree."""
+def test_build_invariance_property(seed, num_series, leaf_size):
+    """For random small datasets, both builders agree."""
     dataset = Dataset(random_walk(num_series, 32, seed=seed), name="prop")
     summarization = SAX(word_length=4, alphabet_size=16)
     reference = TreeIndex(SAX(word_length=4, alphabet_size=16),
                           leaf_size=leaf_size, builder="recursive").build(dataset)
-    vectorized = TreeIndex(summarization, leaf_size=leaf_size).build(
-        dataset, num_workers=num_workers)
+    vectorized = TreeIndex(summarization, leaf_size=leaf_size).build(dataset)
     assert_identical_trees(reference, vectorized)
 
 
@@ -213,20 +209,6 @@ class TestBuildConfiguration:
             MessiIndex(builder="magic")
         with pytest.raises(InvalidParameterError):
             SofaIndex(builder="magic")
-
-    def test_invalid_num_workers_rejected(self):
-        with pytest.raises(InvalidParameterError):
-            TreeIndex(SAX(), num_workers=0)
-        with pytest.raises(InvalidParameterError):
-            MessiIndex().build(np.zeros((4, 16)), num_workers=0)
-
-    def test_env_default_num_workers(self, walk_dataset, monkeypatch):
-        """REPRO_NUM_WORKERS sets the default worker count of builds."""
-        monkeypatch.setenv("REPRO_NUM_WORKERS", "3")
-        threaded = make_index("MESSI").build(walk_dataset)
-        monkeypatch.delenv("REPRO_NUM_WORKERS")
-        serial = make_index("MESSI").build(walk_dataset)
-        assert_identical_trees(serial.tree, threaded.tree)
 
     def test_searcher_caches_follow_in_place_rebuild(self):
         """Rebuilding a tree through an existing searcher must not serve the
@@ -260,9 +242,7 @@ class TestBuildConfiguration:
             assert np.array_equal(expected.distances, actual.distances)
 
     def test_wall_time_recorded_and_persisted(self, walk_dataset, tmp_path):
-        # Pinned to one worker: only there does the wall clock dominate the
-        # sum of the per-item costs (parallel per-item timings overlap).
-        index = make_index("MESSI", num_workers=1).build(walk_dataset)
+        index = make_index("MESSI").build(walk_dataset)
         timings = index.timings
         assert timings.wall_time > 0.0
         assert timings.wall_time >= timings.transform_time + timings.tree_time

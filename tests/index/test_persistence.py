@@ -86,12 +86,11 @@ class TestRoundTrip:
             _assert_same_result(index.knn(query, k=k), loaded.knn(query, k=k))
 
     @pytest.mark.parametrize("mmap", [True, False], ids=["mmap", "in-memory"])
-    @pytest.mark.parametrize("num_workers", [1, 3])
-    def test_knn_batch_bit_identical(self, saved_index, mmap, num_workers):
+    def test_knn_batch_bit_identical(self, saved_index, mmap):
         kind, index, path, queries = saved_index
         loaded = INDEX_CLASSES[kind].load(path, mmap=mmap)
-        built_results = index.knn_batch(queries, k=4, num_workers=num_workers)
-        loaded_results = loaded.knn_batch(queries, k=4, num_workers=num_workers)
+        built_results = index.knn_batch(queries, k=4)
+        loaded_results = loaded.knn_batch(queries, k=4)
         for built, loaded_result in zip(built_results, loaded_results):
             _assert_same_result(built, loaded_result)
 

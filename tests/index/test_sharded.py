@@ -82,7 +82,7 @@ class TestHealthyBitIdentity:
     def test_knn_batch_matches_unsharded(self, tmp_path, base_rows, queries,
                                          num_shards):
         reference = _factory().build(base_rows)
-        expected = reference.knn_batch(queries, k=4, num_workers=1)
+        expected = reference.knn_batch(queries, k=4)
         sharded = _build_sharded(base_rows, tmp_path / "s", num_shards)
         try:
             observed = sharded.knn_batch(queries, k=4)
@@ -103,18 +103,6 @@ class TestHealthyBitIdentity:
             for query in queries:
                 _assert_same_result(sharded.knn(query, k=8),
                                     reference.knn(query, k=8))
-        finally:
-            sharded.close()
-
-    def test_num_workers_is_accepted_and_irrelevant(self, tmp_path, base_rows,
-                                                    queries):
-        sharded = _build_sharded(base_rows, tmp_path / "s", 3)
-        try:
-            baseline = sharded.knn(queries[0], k=5)
-            for workers in (1, 2, 8):
-                _assert_same_result(sharded.knn(queries[0], k=5,
-                                                num_workers=workers),
-                                    baseline)
         finally:
             sharded.close()
 

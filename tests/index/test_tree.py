@@ -5,6 +5,7 @@ import pytest
 
 from repro.core.errors import IndexError_, InvalidParameterError
 from repro.core.series import Dataset
+from repro.datasets.synthetic import GENERATORS
 from repro.index.tree import TreeIndex
 from repro.transforms.sax import SAX
 from repro.transforms.sfa import SFA
@@ -256,3 +257,118 @@ class TestStats:
 
         with pytest.raises(IndexError_):
             compute_structure_stats(TreeIndex(SAX()))
+
+
+# ------------------------------------------- production-kernel soundness
+
+SWEEP_SUMMARIZATIONS = {
+    "SOFA-equi-width": lambda: SFA(word_length=8, alphabet_size=16,
+                                   binning="equi-width", sample_fraction=1.0),
+    "SOFA-equi-depth": lambda: SFA(word_length=8, alphabet_size=16,
+                                   binning="equi-depth", sample_fraction=1.0),
+    "MESSI": lambda: SAX(word_length=8, alphabet_size=16),
+}
+
+_SWEEP_CACHE: "dict[tuple[str, str], tuple]" = {}
+
+
+def _sweep_case(summarization: str, family: str):
+    """(tree, query summaries, true squared distances) for one sweep cell.
+
+    The tree is built by the production builder over 150 series of one
+    generator family; six further series of the family are the queries,
+    z-normalized and summarized exactly as the searchers do it.
+    """
+    key = (summarization, family)
+    if key not in _SWEEP_CACHE:
+        from repro.core.normalization import znormalize_batch
+
+        rows = GENERATORS[family](156, 64, seed=8080)
+        tree = TreeIndex(SWEEP_SUMMARIZATIONS[summarization](),
+                         leaf_size=8).build(Dataset(rows[:150], name=family))
+        queries = znormalize_batch(rows[150:])
+        summaries = tree.summarization.transform_batch(queries)
+        difference = queries[:, None, :] - tree.dataset.values[None, :, :]
+        true = np.einsum("qnl,qnl->qn", difference, difference)
+        _SWEEP_CACHE[key] = (tree, summaries, true)
+    return _SWEEP_CACHE[key]
+
+
+def _assert_sound(bounds: np.ndarray, true: np.ndarray) -> None:
+    """Every squared bound is at most the true squared distance (up to
+    rounding)."""
+    assert np.all(bounds <= true * (1 + 1e-9) + 1e-9)
+
+
+_SWEEP = pytest.mark.parametrize("family", sorted(GENERATORS))
+_SWEEP_METHODS = pytest.mark.parametrize("summarization",
+                                         sorted(SWEEP_SUMMARIZATIONS))
+
+
+@_SWEEP_METHODS
+@_SWEEP
+class TestProductionKernelSoundness:
+    """The tree's lower-bound entry points never overestimate, for every
+    summarization the indexes use and every synthetic data family, and
+    their multi-query and pair forms agree with the 1-D kernel.  They agree
+    up to summation order only (the 1-D kernel reduces with ``einsum``, the
+    others with a matrix product), hence ``rtol=1e-12`` rather than bit
+    equality."""
+
+    def test_leaf_lower_bounds(self, summarization, family):
+        tree, summaries, true = _sweep_case(summarization, family)
+        multi = tree.leaf_lower_bounds(summaries)
+        for query, summary in enumerate(summaries):
+            bounds = tree.leaf_lower_bounds(summary)
+            np.testing.assert_allclose(multi[query], bounds, rtol=1e-12,
+                                       atol=0)
+            closest = np.array([true[query, leaf.indices].min()
+                                for leaf in tree.leaf_nodes])
+            _assert_sound(bounds, closest)
+
+    def test_series_lower_bounds(self, summarization, family):
+        tree, summaries, true = _sweep_case(summarization, family)
+        for leaf in tree.leaf_nodes:
+            multi = tree.series_lower_bounds(summaries, leaf)
+            for query, summary in enumerate(summaries):
+                bounds = tree.series_lower_bounds(summary, leaf)
+                np.testing.assert_allclose(multi[query], bounds, rtol=1e-12,
+                                           atol=0)
+                _assert_sound(bounds, true[query, leaf.indices])
+
+    def test_all_series_lower_bounds(self, summarization, family):
+        tree, summaries, true = _sweep_case(summarization, family)
+        multi, multi_rows = tree.all_series_lower_bounds(summaries)
+        for query, summary in enumerate(summaries):
+            bounds, rows = tree.all_series_lower_bounds(summary)
+            assert np.array_equal(rows, multi_rows)
+            assert np.array_equal(np.sort(rows), np.arange(tree.num_series))
+            np.testing.assert_allclose(multi[query], bounds, rtol=1e-12,
+                                       atol=0)
+            _assert_sound(bounds, true[query, rows])
+
+    def test_batch_lower_bound_pairs(self, summarization, family):
+        """The ragged (query, leaf-series) pairs, expanded and bounded the
+        way :class:`~repro.index.batch_search.BatchSearcher` does it."""
+        from repro.core.simd import batch_lower_bound_pairs
+        from repro.index.batch_search import _expand_pairs
+
+        tree, summaries, true = _sweep_case(summarization, family)
+        lower, upper, rows, offsets, sizes = tree.series_directory()
+        num_leaves = len(tree.leaf_nodes)
+        # Every query paired with every other leaf, query-major.
+        pair_query = np.repeat(np.arange(summaries.shape[0]),
+                               -(-num_leaves // 2))
+        pair_leaf = np.tile(np.arange(0, num_leaves, 2), summaries.shape[0])
+        instance_query, column = _expand_pairs(pair_query, pair_leaf,
+                                               offsets, sizes)
+        bounds = batch_lower_bound_pairs(summaries[instance_query],
+                                         lower[column], upper[column],
+                                         tree.summarization.weights)
+        _assert_sound(bounds, true[instance_query, rows[column]])
+        for query, summary in enumerate(summaries):
+            mine = instance_query == query
+            np.testing.assert_allclose(
+                bounds[mine],
+                tree.all_series_lower_bounds(summary)[0][column[mine]],
+                rtol=1e-12, atol=0)

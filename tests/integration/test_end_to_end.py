@@ -73,7 +73,7 @@ class TestFullQueryPipeline:
         for method in ("SOFA", "MESSI"):
             index = runner.make_method(method).build(index_set)
             work[method] = sum(
-                index.knn(query, k=1, num_workers=1).stats.exact_distances
+                index.knn(query, k=1).stats.exact_distances
                 for query in queries.values)
         scan = runner.make_method("UCR-SUITE").build(index_set)
         work["UCR-SUITE"] = sum(scan.knn(query, k=1).stats.exact_distances

@@ -120,42 +120,34 @@ def engines(static_engine, dynamic_engine, sharded_engine):
 
 class TestEngineTracing:
     @pytest.mark.parametrize("engine_name", ["static", "dynamic", "sharded"])
-    @pytest.mark.parametrize("num_workers", [1, 4])
-    def test_phases_partition_wall_time(self, engines, engine_name,
-                                        num_workers):
+    def test_phases_partition_wall_time(self, engines, engine_name):
         engine = engines[engine_name]
-        engine.knn(QUERIES[0], k=3, num_workers=num_workers)  # warm caches
+        engine.knn(QUERIES[0], k=3)  # warm caches
         for query in QUERIES[:4]:
             trace = Trace()
-            result = engine.knn(query, k=3, num_workers=num_workers,
-                                trace=trace)
+            result = engine.knn(query, k=3, trace=trace)
             assert trace.phase_seconds() > 0.0
             assert_phases_partition_wall(trace, result.stats.wall_time_s)
 
     @pytest.mark.parametrize("engine_name", ["static", "dynamic", "sharded"])
-    @pytest.mark.parametrize("num_workers", [1, 4])
-    def test_tracing_never_changes_answers(self, engines, engine_name,
-                                           num_workers):
+    def test_tracing_never_changes_answers(self, engines, engine_name):
         engine = engines[engine_name]
         for query in QUERIES:
-            untraced = engine.knn(query, k=5, num_workers=num_workers)
-            traced = engine.knn(query, k=5, num_workers=num_workers,
-                                trace=Trace())
+            untraced = engine.knn(query, k=5)
+            traced = engine.knn(query, k=5, trace=Trace())
             np.testing.assert_array_equal(traced.indices, untraced.indices)
             np.testing.assert_array_equal(traced.distances,
                                           untraced.distances)
 
-    @given(seed=st.integers(0, 10_000), k=st.integers(1, 10),
-           num_workers=st.sampled_from([1, 2, 4]))
+    @given(seed=st.integers(0, 10_000), k=st.integers(1, 10))
     @settings(max_examples=25, deadline=None)
     def test_bit_identity_property(self, static_engine, dynamic_engine,
-                                   seed, k, num_workers):
+                                   seed, k):
         """Random queries: tracing is invisible in the answer, everywhere."""
         query = random_walk(1, 64, seed=seed)[0]
         for engine in (static_engine, dynamic_engine):
-            untraced = engine.knn(query, k=k, num_workers=num_workers)
-            traced = engine.knn(query, k=k, num_workers=num_workers,
-                                trace=Trace())
+            untraced = engine.knn(query, k=k)
+            traced = engine.knn(query, k=k, trace=Trace())
             np.testing.assert_array_equal(traced.indices, untraced.indices)
             np.testing.assert_array_equal(traced.distances,
                                           untraced.distances)
@@ -172,7 +164,7 @@ class TestEngineTracing:
 
     def test_dynamic_trace_carries_delta_phase(self, dynamic_engine):
         trace = Trace()
-        dynamic_engine.knn(QUERIES[0], k=3, num_workers=1, trace=trace)
+        dynamic_engine.knn(QUERIES[0], k=3, trace=trace)
         assert "delta" in trace.breakdown()
 
     def test_batch_results_carry_batch_wall_time(self, static_engine,
@@ -185,29 +177,26 @@ class TestEngineTracing:
 
 
 class TestRefinementSpans:
-    @pytest.mark.parametrize("num_workers", [1, 4])
     def test_tree_refinement_phase_is_the_stats_refinement_time(
-            self, static_engine, num_workers):
+            self, static_engine):
         """On the static tree path the ``refinement`` phase and
         ``stats.refinement_time`` are one measurement: the queue drain's
-        wall time, whatever the worker count."""
+        wall time."""
         searcher = ExactSearcher(static_engine.tree, flat_refinement_threshold=0.0)
         for query in QUERIES[:4]:
             trace = Trace()
-            result = searcher.knn(query, k=3, num_workers=num_workers,
-                                  trace=trace)
+            result = searcher.knn(query, k=3, trace=trace)
             assert (trace.breakdown()["refinement"]
                     == result.stats.refinement_time)
 
     @pytest.mark.parametrize("threshold", [0.0, np.inf], ids=["tree", "flat"])
-    @pytest.mark.parametrize("num_workers", [1, 4])
     def test_refinement_has_no_per_worker_detail(self, static_engine,
-                                                 threshold, num_workers):
-        """Workers time nothing themselves, so the only detail span of an
-        unsharded query is the heap's counters."""
+                                                 threshold):
+        """The only detail span of an unsharded query is the heap's
+        counters."""
         searcher = ExactSearcher(static_engine.tree,
                                  flat_refinement_threshold=threshold)
         trace = Trace()
-        searcher.knn(QUERIES[0], k=3, num_workers=num_workers, trace=trace)
+        searcher.knn(QUERIES[0], k=3, trace=trace)
         details = [span.name for span in trace.spans if span.kind == "detail"]
         assert details == ["heap"]

@@ -1,10 +1,7 @@
-"""Fault-tolerant execution: dying workers, search deadlines, typed validation.
+"""Fault-tolerant execution: search deadlines, background failures, typed validation.
 
 Covers the execution-layer half of the reliability contract:
 
-* a worker raising mid-drain cannot wedge :class:`~repro.parallel.pool.WorkerPool`
-  — the first (deterministic) exception propagates, remaining items are
-  cancelled, and a persistent executor stays reusable;
 * ``knn``/``knn_batch`` with ``timeout_s`` degrade gracefully: the best-so-far
   is finalized with ``stats.timed_out=True`` and every reported distance
   stays exact;
@@ -31,7 +28,7 @@ from repro.core.errors import (
 from repro.datasets.synthetic import random_walk
 from repro.index.messi import MessiIndex
 from repro.index.sofa import SofaIndex
-from repro.parallel.pool import BackgroundTask, WorkerPool
+from repro.parallel.pool import BackgroundTask
 
 SERIES_LENGTH = 64
 
@@ -47,82 +44,8 @@ def queries():
     return random_walk(4, SERIES_LENGTH, seed=78)
 
 
-# ------------------------------------------------------------ worker deaths
-
-
 class BoomError(RuntimeError):
     pass
-
-
-class TestPoolSurvivesWorkerDeath:
-    def test_map_propagates_first_error_deterministically(self):
-        pool = WorkerPool(4)
-
-        def function(item):
-            if item in (3, 5):
-                raise BoomError(f"worker died on {item}")
-            return item * 2
-
-        with pytest.raises(BoomError, match="died on 3"):
-            pool.map(function, list(range(50)))
-
-    def test_map_cancels_remaining_items(self):
-        pool = WorkerPool(2)
-        processed: "list[int]" = []
-        lock = threading.Lock()
-
-        def function(item):
-            if item == 0:
-                raise BoomError("first item dies")
-            with lock:
-                processed.append(item)
-            return item
-
-        with pytest.raises(BoomError):
-            pool.map(function, list(range(1000)))
-        # The cancel flag stops the drains long before the queue empties.
-        assert len(processed) < 1000
-
-    def test_persistent_pool_reusable_after_failure(self):
-        pool = WorkerPool(4, persistent=True)
-
-        def function(item):
-            if item == 7:
-                raise BoomError("boom")
-            return item + 1
-
-        with pytest.raises(BoomError):
-            pool.map(function, list(range(20)))
-        # Same executor, next call: full results, no wedged futures.
-        assert pool.map(lambda item: item + 1, list(range(20))) == list(
-            range(1, 21))
-        assert pool._executor is not None
-
-    def test_map_shared_propagates_and_returns_no_partial_states(self):
-        pool = WorkerPool(4)
-
-        def function(item, state):
-            if item == 13:
-                raise BoomError("shared drain dies")
-            state.append(item)
-
-        with pytest.raises(BoomError):
-            pool.map_shared(function, list(range(100)), make_state=list,
-                            chunk_size=4)
-
-    def test_original_traceback_reaches_the_caller(self):
-        pool = WorkerPool(3)
-
-        def doomed(item):
-            raise BoomError("original frames wanted")
-
-        try:
-            pool.map(doomed, [1, 2, 3])
-        except BoomError as error:
-            frames = "".join(traceback.format_tb(error.__traceback__))
-            assert "doomed" in frames
-        else:  # pragma: no cover
-            pytest.fail("expected BoomError")
 
 
 class TestBackgroundTask:
@@ -212,12 +135,6 @@ class TestSearchTimeout:
             np.testing.assert_array_equal(full_result.distances,
                                           relaxed_result.distances)
             assert relaxed_result.stats.timed_out is False
-
-    def test_parallel_search_respects_deadline(self, built_index, queries):
-        rushed = built_index.knn(queries[0], k=5, num_workers=4,
-                                 timeout_s=1e-9)
-        assert rushed.stats.timed_out is True
-        assert len(rushed.indices) <= 5
 
     def test_dynamic_index_threads_timeout(self, queries):
         rows = random_walk(60, SERIES_LENGTH, seed=81)

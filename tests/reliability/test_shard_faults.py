@@ -184,7 +184,7 @@ class TestTransientRetries:
                                                 queries):
         _wrap_shard(sharded, 0, fail_times=10_000)
         reference, global_ids = _survivor_reference(base_rows, {0})
-        expected = reference.knn_batch(queries, k=4, num_workers=1)
+        expected = reference.knn_batch(queries, k=4)
         observed = sharded.knn_batch(queries, k=4)
         for got, want in zip(observed, expected):
             np.testing.assert_array_equal(got.indices,

@@ -57,7 +57,7 @@ def _build_dynamic(base: np.ndarray, wal_dir=None,
 
 
 def _signature(dynamic: DynamicIndex, queries: np.ndarray):
-    results = dynamic.knn_batch(queries, k=2, num_workers=1)
+    results = dynamic.knn_batch(queries, k=2)
     return (dynamic.num_base, dynamic.delta_count, dynamic.num_surviving,
             [(result.indices.tolist(), result.distances.tolist())
              for result in results])
@@ -526,12 +526,12 @@ class TestReplayBitIdentity:
         dynamic.compact()
         dynamic.insert_batch(_rows(2, seed=43))
         dynamic.delete(0)
-        expected = dynamic.knn_batch(queries, k=3, num_workers=1)
+        expected = dynamic.knn_batch(queries, k=3)
         # Abandon without close(): the process "dies" with buffers unflushed
         # to stable storage (page-cache contents survive a process crash).
         recovered = DynamicIndex.recover(work / "snap", work / "wal",
                                          wal_fsync=fsync)
-        observed = recovered.knn_batch(queries, k=3, num_workers=1)
+        observed = recovered.knn_batch(queries, k=3)
         for expected_result, observed_result in zip(expected, observed):
             np.testing.assert_array_equal(expected_result.indices,
                                           observed_result.indices)
