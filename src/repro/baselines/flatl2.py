@@ -38,7 +38,8 @@ class BatchSearchResult:
 
 
 class FlatL2Index:
-    """Exact L2 index: store vectors, answer queries by batched brute force.
+    """Exact L2 index: store vectors, answer z-normalized queries by batched
+    brute force.
 
     Parameters
     ----------
@@ -47,11 +48,10 @@ class FlatL2Index:
         available core).
     """
 
-    def __init__(self, batch_size: int = 36, normalize_queries: bool = True) -> None:
+    def __init__(self, batch_size: int = 36) -> None:
         if batch_size < 1:
             raise SearchError("batch_size must be >= 1")
         self.batch_size = batch_size
-        self.normalize_queries = normalize_queries
         self.dataset: Dataset | None = None
         self._norms: np.ndarray | None = None
         self.build_time: float = 0.0
@@ -79,8 +79,7 @@ class FlatL2Index:
             )
         if k < 1 or k > self.dataset.num_series:
             raise SearchError(f"k must be in [1, {self.dataset.num_series}], got {k}")
-        if self.normalize_queries:
-            queries = znormalize_batch(queries)
+        queries = znormalize_batch(queries)
 
         stats = BatchSearchStats(num_queries=queries.shape[0])
         all_indices = np.empty((queries.shape[0], k), dtype=np.int64)

@@ -17,10 +17,9 @@ from repro.core.series import Dataset
 
 
 class SerialScan:
-    """Exact k-NN by brute force over the whole dataset."""
+    """Exact k-NN of a z-normalized query by brute force over the dataset."""
 
-    def __init__(self, normalize_queries: bool = True) -> None:
-        self.normalize_queries = normalize_queries
+    def __init__(self) -> None:
         self.dataset: Dataset | None = None
 
     def build(self, dataset: "Dataset | np.ndarray") -> "SerialScan":
@@ -34,9 +33,7 @@ class SerialScan:
             raise SearchError("SerialScan.build must be called before querying")
         if k < 1 or k > self.dataset.num_series:
             raise SearchError(f"k must be in [1, {self.dataset.num_series}], got {k}")
-        query = np.asarray(query, dtype=np.float64)
-        if self.normalize_queries:
-            query = znormalize(query)
+        query = znormalize(np.asarray(query, dtype=np.float64))
         squared = squared_euclidean_batch(query, self.dataset.values)
         order = np.argsort(squared, kind="stable")[:k]
         return order.astype(np.int64), np.sqrt(squared[order])

@@ -40,7 +40,7 @@ class ScanResult:
 
 
 class UcrSuiteScan:
-    """Early-abandoning exact scan.
+    """Early-abandoning exact scan (queries are z-normalized).
 
     Parameters
     ----------
@@ -50,11 +50,10 @@ class UcrSuiteScan:
         of the original implementation while keeping early abandoning.
     """
 
-    def __init__(self, block_size: int = 64, normalize_queries: bool = True) -> None:
+    def __init__(self, block_size: int = 64) -> None:
         if block_size < 1:
             raise SearchError("block_size must be >= 1")
         self.block_size = block_size
-        self.normalize_queries = normalize_queries
         self.dataset: Dataset | None = None
 
     def build(self, dataset: "Dataset | np.ndarray") -> "UcrSuiteScan":
@@ -68,9 +67,7 @@ class UcrSuiteScan:
             raise SearchError("UcrSuiteScan.build must be called before querying")
         if k < 1 or k > self.dataset.num_series:
             raise SearchError(f"k must be in [1, {self.dataset.num_series}], got {k}")
-        query = np.asarray(query, dtype=np.float64)
-        if self.normalize_queries:
-            query = znormalize(query)
+        query = znormalize(np.asarray(query, dtype=np.float64))
 
         stats = ScanStats()
         values = self.dataset.values

@@ -78,7 +78,7 @@ class ClusterIndex(ShardedIndex):
     def launch(cls, path, *, degraded: str = "allow", retry=None, health=None,
                policy: "SupervisorPolicy | None" = None,
                host: str = "127.0.0.1", mmap: bool = True,
-               verify: str = "lazy", gather_grace_s: float = 0.25,
+               verify: str = "lazy",
                start_timeout_s: float = 30.0) -> "ClusterIndex":
         """Spawn one supervised worker per shard and attach to the cluster.
 
@@ -89,8 +89,7 @@ class ClusterIndex(ShardedIndex):
         """
         cluster = cls._attach(path, policy=policy, host=host,
                               degraded=degraded, retry=retry, health=health,
-                              verify=verify, mmap=mmap,
-                              gather_grace_s=gather_grace_s)
+                              verify=verify, mmap=mmap)
         supervisor = cluster.supervisor.start()
         try:
             supervisor.wait_ready(start_timeout_s)

@@ -61,12 +61,12 @@ from repro.core.errors import SearchError
 from repro.core.normalization import znormalize_batch
 from repro.core.simd import batch_lower_bound_multi, batch_lower_bound_pairs
 from repro.index.search import (
-    FLAT_REFINEMENT_THRESHOLD,
     SearchResult,
     SearchStats,
     deadline_expired,
     finalize_result,
     resolve_deadline,
+    uses_flat_refinement,
     validated_count,
     validated_queries,
 )
@@ -200,14 +200,10 @@ class BatchSearcher:
     Parameters
     ----------
     index:
-        A built :class:`~repro.index.tree.TreeIndex`.
-    normalize_queries:
-        z-normalize incoming queries (the paper's setting).
-    flat_refinement_threshold:
-        Same meaning as in :class:`~repro.index.search.ExactSearcher`: below
-        this average leaf size the engine filters-and-refines over the flat
-        per-series directory instead of walking leaves; both engines share
-        one default.  Both paths return identical exact answers.
+        A built :class:`~repro.index.tree.TreeIndex`.  Queries are
+        z-normalized (the paper's setting), and
+        :func:`~repro.index.search.uses_flat_refinement` picks the flat or
+        the tree path, as for the per-query engine.
     delta_source:
         Optional zero-argument callable returning the current
         :class:`~repro.index.dynamic.DeltaView` of a dynamic index (or
@@ -215,15 +211,11 @@ class BatchSearcher:
         answers over *tree ∪ delta − tombstones*.
     """
 
-    def __init__(self, index: TreeIndex, normalize_queries: bool = True,
-                 flat_refinement_threshold: float = FLAT_REFINEMENT_THRESHOLD,
-                 delta_source=None) -> None:
+    def __init__(self, index: TreeIndex, delta_source=None) -> None:
         if not index.is_built:
             raise SearchError("the index must be built before searching")
         self.index = index
-        self.normalize_queries = normalize_queries
         self._delta_source = delta_source
-        self.flat_refinement_threshold = flat_refinement_threshold
         # Hoisted out of the per-shard / per-round paths; re-captured once
         # per batch in case the tree was rebuilt in place (fit assigns fresh
         # weight arrays).
@@ -297,8 +289,7 @@ class BatchSearcher:
 
     def _search_shard(self, queries: np.ndarray, k: int, delta=None,
                       deadline: "float | None" = None) -> list[SearchResult]:
-        if self.normalize_queries:
-            queries = znormalize_batch(queries)
+        queries = znormalize_batch(queries)
         num_queries = queries.shape[0]
         num_available = (self.index.num_series if delta is None
                          else delta.num_surviving)
@@ -306,7 +297,7 @@ class BatchSearcher:
         stats = [SearchStats(num_series=num_available) for _ in range(num_queries)]
         frontier = _QueryFrontier(num_queries, k)
 
-        if self.index.average_leaf_size < self.flat_refinement_threshold:
+        if uses_flat_refinement(self.index):
             self._flat_search(queries, summaries, frontier, stats, delta,
                               deadline)
         else:

@@ -58,7 +58,6 @@ rotates the segment with the generation swap.
 
 from __future__ import annotations
 
-import operator
 import threading
 import time
 from dataclasses import dataclass
@@ -70,7 +69,12 @@ from repro.core.normalization import znormalize_batch
 from repro.core.series import Dataset, GrowableArray
 from repro.index.batch_search import BatchSearcher
 from repro.index.facade import TreeFacade
-from repro.index.search import BestSoFar, ExactSearcher, SearchResult
+from repro.index.search import (
+    BestSoFar,
+    ExactSearcher,
+    SearchResult,
+    validated_row,
+)
 from repro.index.tree import TreeIndex
 from repro.index.wal import OP_COMPACT, OP_DELETE, OP_INSERT, WriteAheadLog
 from repro.index.wal import read_records as _read_wal_records
@@ -87,6 +91,15 @@ _COMPACTION_SECONDS = _REGISTRY.histogram(
     "survivors), rebuild (the tree build), swap (generation swap + WAL "
     "rotation).",
     labelnames=("phase",))
+
+
+def numeric_series(values) -> np.ndarray:
+    """Inserted series as a float64 array; typed failure if not numeric."""
+    try:
+        return np.asarray(values, dtype=np.float64)
+    except (TypeError, ValueError) as error:
+        raise ValidationError(
+            f"inserted series are not numeric: {error}") from None
 
 
 def _gather_rows(base_values: np.ndarray, delta_values: np.ndarray,
@@ -146,8 +159,7 @@ class _DynamicState:
     always sees matching (tree, delta, tombstones).
     """
 
-    def __init__(self, tree: TreeIndex, index_type: str,
-                 normalize_queries: bool = True) -> None:
+    def __init__(self, tree: TreeIndex, index_type: str) -> None:
         self.tree = tree
         self.index_type = index_type
         self.num_base = tree.num_series
@@ -166,11 +178,8 @@ class _DynamicState:
         # Without them every query would pay an O(num_base) copy + sum.
         self._base_alive_cache: "tuple[np.ndarray, int] | None" = None
         self._rows_cache = np.empty(0, dtype=np.int64)
-        self.searcher = ExactSearcher(tree, normalize_queries=normalize_queries,
-                                      delta_source=self.capture)
-        self.batch_searcher = BatchSearcher(tree,
-                                            normalize_queries=normalize_queries,
-                                            delta_source=self.capture)
+        self.searcher = ExactSearcher(tree, delta_source=self.capture)
+        self.batch_searcher = BatchSearcher(tree, delta_source=self.capture)
 
     @property
     def delta_count(self) -> int:
@@ -254,23 +263,8 @@ class DynamicIndex:
     compact_threshold:
         Pending-write fraction (buffered inserts plus base tombstones,
         relative to the base size) above which :attr:`needs_compaction`
-        turns true — and, with ``auto_compact``, a background compaction is
-        started.
-    auto_compact:
-        When true, ``insert``/``insert_batch`` trigger a background
-        compaction as soon as the threshold is crossed (at most one runs at
-        a time).  A failed background compaction is never swallowed: its
-        exception re-raises from the next write that would start another
-        one.  When false (default), callers poll :attr:`needs_compaction`
-        and call :meth:`compact` or :meth:`compact_in_background`
-        themselves.
-    normalize:
-        z-normalize inserted series (the same convention as
-        :class:`~repro.core.series.Dataset`, which normalizes the base
-        collection on construction).
-    normalize_queries:
-        z-normalize incoming queries (the paper's setting; forwarded to both
-        search engines).
+        turns true.  Callers poll it and call :meth:`compact` or
+        :meth:`compact_in_background` themselves.
     wal_dir:
         Directory of a :class:`~repro.index.wal.WriteAheadLog` to attach.
         Writes append a checksummed record *before* mutating state and
@@ -282,6 +276,10 @@ class DynamicIndex:
         ``"batch"`` (default; acked writes survive process crashes) or
         ``"off"``.
 
+    Inserted series and queries are z-normalized, the same convention as
+    :class:`~repro.core.series.Dataset`, which normalizes the base collection
+    on construction.
+
     Reads are lock-free: a query atomically grabs the current generation
     (tree + searchers) and captures a consistent :class:`DeltaView`.  Writes
     (insert, delete, compact, save) serialize on one lock; the WAL append
@@ -289,8 +287,6 @@ class DynamicIndex:
     """
 
     def __init__(self, index, *, compact_threshold: float = 0.25,
-                 auto_compact: bool = False, normalize: bool = True,
-                 normalize_queries: bool = True,
                  wal_dir=None, wal_fsync: str = "batch") -> None:
         tree, index_type = _resolve_tree(index)
         if not tree.is_built:
@@ -302,11 +298,7 @@ class DynamicIndex:
                 f"compact_threshold must be positive, got {compact_threshold}"
             )
         self.compact_threshold = float(compact_threshold)
-        self.auto_compact = bool(auto_compact)
-        self.normalize = bool(normalize)
-        self.normalize_queries = bool(normalize_queries)
-        self._state = _DynamicState(tree, index_type,
-                                    normalize_queries=self.normalize_queries)
+        self._state = _DynamicState(tree, index_type)
         self._write_lock = threading.Lock()
         self._compaction_lock = threading.Lock()
         self._compaction_task: BackgroundTask | None = None
@@ -376,7 +368,7 @@ class DynamicIndex:
 
     def insert(self, series: np.ndarray) -> int:
         """Buffer one series for serving; returns its global row id."""
-        series = np.asarray(series, dtype=np.float64)
+        series = numeric_series(series)
         if series.ndim != 1:
             raise IndexError_(
                 f"insert expects a single 1-D series, got shape {series.shape}; "
@@ -393,11 +385,7 @@ class DynamicIndex:
         exactly like indexed ones.  No tree surgery happens here; the rows
         become eligible for tree placement at the next :meth:`compact`.
         """
-        try:
-            matrix = np.asarray(series_matrix, dtype=np.float64)
-        except (TypeError, ValueError) as error:
-            raise ValidationError(
-                f"inserted series are not numeric: {error}") from None
+        matrix = numeric_series(series_matrix)
         if matrix.ndim == 1:
             matrix = matrix[None, :]
         if matrix.ndim != 2 or matrix.shape[0] == 0:
@@ -413,12 +401,7 @@ class DynamicIndex:
             )
         if not np.isfinite(matrix).all():
             raise ValidationError("inserted series contain NaN or infinite values")
-        if self.normalize:
-            matrix = znormalize_batch(matrix)
-        ids = self._insert_normalized(matrix, log=True)
-        if self.auto_compact and self.needs_compaction:
-            self._start_background_compaction()
-        return ids
+        return self._insert_normalized(znormalize_batch(matrix), log=True)
 
     def _insert_normalized(self, matrix: np.ndarray, log: bool) -> np.ndarray:
         """Append already-normalized rows (the write path and WAL replay).
@@ -449,10 +432,11 @@ class DynamicIndex:
         """Tombstone a row (base or buffered) by its global id.
 
         Raises a typed :class:`~repro.core.errors.IndexError_` when the row
-        is out of range or already tombstoned — never a silent no-op, so
-        double deletes surface instead of masking bookkeeping bugs.
+        is not an integer, out of range or already tombstoned — never a
+        silent no-op, so double deletes surface instead of masking
+        bookkeeping bugs.
         """
-        self._delete_row(operator.index(row), log=True)
+        self._delete_row(validated_row(row), log=True)
 
     def _delete_row(self, row: int, log: bool) -> None:
         """Validate and tombstone one row (write path and WAL replay).
@@ -577,17 +561,6 @@ class DynamicIndex:
             self._compaction_task = task
         return task
 
-    def _start_background_compaction(self) -> None:
-        """Start an auto-compaction unless one is already running.
-
-        :meth:`compact_in_background` serializes the check-and-spawn on its
-        own lock, so concurrent inserts cannot double-start a merge, and a
-        *failed* previous compaction is not swallowed: its exception
-        re-raises here, into the write that would otherwise spawn the next
-        doomed attempt.
-        """
-        self.compact_in_background()
-
     def _compact_locked(self, log: bool = True) -> np.ndarray:
         state = self._state
         mapping = np.full(state.num_total, -1, dtype=np.int64)
@@ -627,8 +600,7 @@ class DynamicIndex:
             surviving_base.size + np.arange(surviving_delta.size))
         # Atomic generation swap: a single reference assignment, so readers
         # see either the complete old state or the complete new one.
-        self._state = _DynamicState(tree, state.index_type,
-                                    normalize_queries=self.normalize_queries)
+        self._state = _DynamicState(tree, state.index_type)
         if self._wal is not None:
             # A segment never spans a generation swap; old segments stay
             # until the next durable snapshot checkpoints them.

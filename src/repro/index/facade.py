@@ -28,11 +28,10 @@ class TreeFacade:
     summarization_name: str
     index_type: str
 
-    def __init__(self, summarization, *, leaf_size: int, split_policy: str,
-                 builder: str) -> None:
+    def __init__(self, summarization, *, leaf_size: int, builder: str) -> None:
         self.summarization = summarization
         self.tree = TreeIndex(summarization, leaf_size=leaf_size,
-                              split_policy=split_policy, builder=builder)
+                              builder=builder)
         self._searcher: ExactSearcher | None = None
 
     def build(self, dataset: "Dataset | np.ndarray"):
@@ -89,7 +88,7 @@ class TreeFacade:
 
         The returned index serves *tree ∪ delta − tombstones* with buffered
         ``insert``/``delete`` and ``compact()``; ``options`` are forwarded to
-        its constructor (``compact_threshold``, ``auto_compact``, ...).
+        its constructor (``compact_threshold``, ``wal_dir``, ``wal_fsync``).
         """
         from repro.index.dynamic import DynamicIndex
 

@@ -22,8 +22,6 @@ class MessiIndex(TreeFacade):
         Symbol cardinality (256 in the paper).
     leaf_size:
         Maximum series per leaf before splitting.
-    split_policy:
-        Node-splitting heuristic, see :class:`~repro.index.tree.TreeIndex`.
     builder:
         Subtree builder, see :class:`~repro.index.tree.TreeIndex`
         (``"vectorized"`` default, ``"recursive"`` reference).
@@ -33,9 +31,7 @@ class MessiIndex(TreeFacade):
     index_type = "messi"
 
     def __init__(self, word_length: int = 16, alphabet_size: int = 256,
-                 leaf_size: int = 100, split_policy: str = "balanced",
-                 builder: str = "vectorized") -> None:
+                 leaf_size: int = 100, builder: str = "vectorized") -> None:
         super().__init__(
             SAX(word_length=word_length, alphabet_size=alphabet_size),
-            leaf_size=leaf_size, split_policy=split_policy,
-            builder=builder)
+            leaf_size=leaf_size, builder=builder)

@@ -117,6 +117,11 @@ FORMAT_VERSION = 3
 #: Load-time payload verification modes (see :func:`load_tree`).
 VERIFY_MODES = ("eager", "lazy", "off")
 
+#: The node-splitting heuristic every tree uses (the iSAX2.0/MESSI balanced
+#: split).  Manifests record it so the format stays unchanged; a snapshot
+#: naming any other policy describes a tree this library cannot rebuild.
+SPLIT_POLICY = "balanced"
+
 #: Names of the delta/tombstone arrays of a dynamic (v2+) snapshot.
 _DYNAMIC_ARRAYS = ("delta_values", "delta_lower", "delta_upper",
                    "delta_alive", "base_alive")
@@ -446,7 +451,7 @@ def save_tree(tree: TreeIndex, path: "str | Path",
         "checksums": checksums,
         "tree": {
             "leaf_size": tree.leaf_size,
-            "split_policy": tree.split_policy,
+            "split_policy": SPLIT_POLICY,
             "transform_chunks": tree.transform_chunks,
             "num_series": tree.num_series,
             "series_length": tree.dataset.series_length,
@@ -646,9 +651,14 @@ def load_tree(path: "str | Path", mmap: bool = True,
     summarization = _restore_summarization(manifest, arrays)
 
     tree_config = manifest["tree"]
+    if tree_config["split_policy"] != SPLIT_POLICY:
+        raise IndexError_(
+            f"snapshot {path} was built with split policy "
+            f"{tree_config['split_policy']!r}; only {SPLIT_POLICY!r} trees "
+            "can be loaded"
+        )
     tree = TreeIndex(summarization,
                      leaf_size=int(tree_config["leaf_size"]),
-                     split_policy=tree_config["split_policy"],
                      transform_chunks=int(tree_config["transform_chunks"]))
 
     dataset_config = manifest.get("dataset", {})

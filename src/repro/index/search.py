@@ -209,6 +209,22 @@ def validated_count(value) -> int:
     return value
 
 
+def validated_row(value) -> int:
+    """Validate a global row id at the write boundary (``delete``).
+
+    Raises a typed :class:`~repro.core.errors.ValidationError` on
+    non-integral values (``"3"``, ``2.5``) instead of a bare ``TypeError``;
+    range checks stay with the index that owns the row.
+    """
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise ValidationError(
+            f"row must be an integer id, got {value!r} of type "
+            f"{type(value).__name__}"
+        ) from None
+
+
 def resolve_deadline(timeout_s: "float | None") -> "float | None":
     """Turn an optional per-call time budget into a monotonic deadline.
 
@@ -415,8 +431,23 @@ EARLY_ABANDON_MIN_LENGTH = 1024
 
 #: Average leaf size below which both engines filter-and-refine over the flat
 #: per-series directory instead of walking leaves (see
-#: :class:`ExactSearcher`'s ``flat_refinement_threshold``).
+#: :func:`uses_flat_refinement`).
 FLAT_REFINEMENT_THRESHOLD = 4.0
+
+
+def uses_flat_refinement(index: TreeIndex) -> bool:
+    """Whether both engines search ``index`` over its flat series directory.
+
+    When the average leaf size falls below :data:`FLAT_REFINEMENT_THRESHOLD`
+    the tree has degenerated into (near-)singleton leaves — a scale artefact
+    of small collections where the symbolic words of almost every series
+    differ in some top bit — and provides no grouping at all; the engines
+    then filter and refine over the flat per-series directory instead of
+    walking leaves one by one.  Both paths compute the same lower bounds and
+    return identical exact answers.  The constant is read on every call, so
+    patching it forces one path for both engines.
+    """
+    return index.average_leaf_size < FLAT_REFINEMENT_THRESHOLD
 
 
 class ExactSearcher:
@@ -425,19 +456,8 @@ class ExactSearcher:
     Parameters
     ----------
     index:
-        A built tree index.
-    normalize_queries:
-        z-normalize incoming queries (the paper's setting).
-    flat_refinement_threshold:
-        When the average leaf size falls below this value the tree has
-        degenerated into (near-)singleton leaves — a scale artefact of small
-        collections where the symbolic words of almost every series differ in
-        some top bit — and provides no grouping at all; the searcher then
-        filters and refines over the flat per-series directory instead of
-        walking leaves one by one.  Both paths compute the same lower bounds
-        and return identical exact answers.  The default
-        (:data:`FLAT_REFINEMENT_THRESHOLD`) and an explicit value alike are
-        shared with the batched engine behind :meth:`knn_batch`.
+        A built tree index.  Queries are z-normalized (the paper's setting),
+        and :func:`uses_flat_refinement` picks the flat or the tree path.
     delta_source:
         Optional zero-argument callable returning the current
         :class:`~repro.index.dynamic.DeltaView` of a dynamic index (or
@@ -447,15 +467,11 @@ class ExactSearcher:
         refinement step.
     """
 
-    def __init__(self, index: TreeIndex, normalize_queries: bool = True,
-                 flat_refinement_threshold: float = FLAT_REFINEMENT_THRESHOLD,
-                 delta_source=None) -> None:
+    def __init__(self, index: TreeIndex, delta_source=None) -> None:
         if not index.is_built:
             raise SearchError("the index must be built before searching")
         self.index = index
-        self.normalize_queries = normalize_queries
         self._delta_source = delta_source
-        self.flat_refinement_threshold = flat_refinement_threshold
         self._early_abandon = (
             index.dataset.series_length >= EARLY_ABANDON_MIN_LENGTH)
         self._batch_searcher = None
@@ -522,9 +538,8 @@ class ExactSearcher:
                 f"k={k} exceeds the number of "
                 f"{'indexed' if delta is None else 'surviving'} series ({available})"
             )
-        query = validated_query(query, self.index.dataset.series_length)
-        if self.normalize_queries:
-            query = znormalize(query)
+        query = znormalize(
+            validated_query(query, self.index.dataset.series_length))
 
         self._refresh_summarization_cache()
         summarization = self.index.summarization
@@ -537,7 +552,7 @@ class ExactSearcher:
             # Validation, z-normalization and the SFA transform of the query.
             trace.add_phase("summarize", time.perf_counter() - setup_start)
 
-        if self.index.average_leaf_size < self.flat_refinement_threshold:
+        if uses_flat_refinement(self.index):
             # Degenerate tree (typical at reproduction scale when the selected
             # summary components carry little signal and the root fan-out
             # shatters the data into near-singleton leaves): skip the per-leaf
@@ -639,9 +654,7 @@ class ExactSearcher:
 
         if self._batch_searcher is None:
             self._batch_searcher = BatchSearcher(
-                self.index, normalize_queries=self.normalize_queries,
-                flat_refinement_threshold=self.flat_refinement_threshold,
-                delta_source=self._delta_source)
+                self.index, delta_source=self._delta_source)
         return self._batch_searcher.knn_batch(queries, k=k,
                                               timeout_s=timeout_s)
 

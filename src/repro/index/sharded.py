@@ -81,7 +81,7 @@ from repro.core.errors import (
 )
 from repro.core.normalization import znormalize, znormalize_batch
 from repro.core.series import Dataset
-from repro.index.dynamic import DynamicIndex, _resolve_tree
+from repro.index.dynamic import DynamicIndex, _resolve_tree, numeric_series
 from repro.index.search import (
     BestSoFar,
     SearchResult,
@@ -92,6 +92,7 @@ from repro.index.search import (
     validated_count,
     validated_queries,
     validated_query,
+    validated_row,
 )
 from repro.index.shard_health import (
     QUARANTINED,
@@ -130,6 +131,10 @@ SHARDED_FORMAT_VERSION = 1
 #: Degraded-answer policies: ``allow`` serves partial answers (flagged in the
 #: stats), ``forbid`` raises :class:`~repro.core.errors.PartialResultError`.
 DEGRADED_MODES = ("allow", "forbid")
+
+#: Seconds the gather waits past a query's deadline before it abandons the
+#: shards that have not answered (see :meth:`ShardedIndex._scatter`).
+GATHER_GRACE_S = 0.25
 
 
 def _shard_dirname(index: int) -> str:
@@ -252,9 +257,7 @@ class ShardedIndex:
                  next_global: int, index_type: str = "sofa",
                  degraded: str = "allow", retry: "RetryPolicy | None" = None,
                  health: "HealthPolicy | None" = None, verify: str = "eager",
-                 mmap: bool = True, writable: bool = True,
-                 gather_grace_s: float = 0.25,
-                 engine_options: "dict | None" = None) -> None:
+                 mmap: bool = True, writable: bool = True) -> None:
         if degraded not in DEGRADED_MODES:
             raise InvalidParameterError(
                 f"degraded must be one of {DEGRADED_MODES}, got {degraded!r}")
@@ -272,8 +275,6 @@ class ShardedIndex:
         self._verify = verify
         self._mmap = bool(mmap)
         self._writable = bool(writable)
-        self._gather_grace_s = float(gather_grace_s)
-        self._engine_options = dict(engine_options or {})
         self._write_lock = threading.Lock()
         self._next_insert_shard = 0
         self._executor: "ThreadPoolExecutor | None" = None
@@ -352,32 +353,16 @@ class ShardedIndex:
     def load(cls, path, *, degraded: str = "allow",
              retry: "RetryPolicy | None" = None,
              health: "HealthPolicy | None" = None, verify: str = "eager",
-             mmap: bool = True, writable: bool = True, lazy: bool = True,
-             gather_grace_s: float = 0.25, **engine_options) -> "ShardedIndex":
+             mmap: bool = True, writable: bool = True) -> "ShardedIndex":
         """Attach to a sharded directory written by :meth:`build` / :meth:`save`.
 
-        Shard engines load lazily by default: a shard that is corrupt on disk
-        becomes a query-time failure that quarantines it (the fault-tolerant
-        path) instead of failing the whole load.  ``lazy=False`` loads every
-        engine up front — failures still quarantine rather than raise.
-        ``engine_options`` are forwarded to every shard's
-        :func:`~repro.index.persistence.load_dynamic` call.
+        Shard engines load lazily, on first use: a shard that is corrupt on
+        disk becomes a query-time failure that quarantines it (the
+        fault-tolerant path) instead of failing the whole load.
         """
-        sharded = cls._attach(path, degraded=degraded, retry=retry,
-                              health=health, verify=verify, mmap=mmap,
-                              writable=writable,
-                              gather_grace_s=gather_grace_s,
-                              engine_options=engine_options)
-        if not lazy:
-            for shard in sharded._shards:
-                try:
-                    sharded._engine(shard)
-                except CorruptionError as error:
-                    sharded._board.record_persistent(shard.index, error)
-                    sharded._note_quarantine(shard.index)
-                except Exception as error:  # noqa: BLE001 — quarantine, don't fail the load
-                    sharded._board.record_transient(shard.index, error)
-        return sharded
+        return cls._attach(path, degraded=degraded, retry=retry,
+                           health=health, verify=verify, mmap=mmap,
+                           writable=writable)
 
     @classmethod
     def _attach(cls, path, **options):
@@ -462,8 +447,7 @@ class ShardedIndex:
         """Load (or return) a shard's engine; caller holds ``shard.lock``."""
         if shard.engine is None:
             engine = DynamicIndex.load(shard.path, mmap=self._mmap,
-                                       verify=self._verify,
-                                       **self._engine_options)
+                                       verify=self._verify)
             expected = int(shard.globals_map.shape[0])
             actual = engine.num_base + engine.delta_count
             if actual != expected:
@@ -518,7 +502,7 @@ class ShardedIndex:
             timeout = None
             if deadline is not None:
                 timeout = max(0.0, deadline - time.monotonic()) \
-                    + self._gather_grace_s
+                    + GATHER_GRACE_S
             done, not_done = futures_wait(set(tasks), timeout=timeout)
             for future in done:
                 shard, _ = tasks[future]
@@ -852,7 +836,7 @@ class ShardedIndex:
 
     def insert(self, series) -> int:
         """Route one series to a healthy shard; returns its global row id."""
-        series = np.asarray(series, dtype=np.float64)
+        series = numeric_series(series)
         if series.ndim != 1:
             raise IndexError_(
                 f"insert expects a single 1-D series, got shape "
@@ -862,18 +846,14 @@ class ShardedIndex:
     def insert_batch(self, series_matrix) -> np.ndarray:
         """Route a batch to one healthy shard; returns the global row ids.
 
-        Shards take turns (round-robin) so ingest spreads; a shard that
+        Shards take turns, in rotation, so ingest spreads; a shard that
         fails the write is charged on the health board and the next healthy
         shard is tried, so a single bad shard cannot block ingest.  Global
         ids are handed out in arrival order — the same ids one unsharded
         dynamic index ingesting the same sequence would assign.
         """
         self._require_writable()
-        try:
-            matrix = np.asarray(series_matrix, dtype=np.float64)
-        except (TypeError, ValueError) as error:
-            raise ValidationError(
-                f"inserted series are not numeric: {error}") from None
+        matrix = numeric_series(series_matrix)
         if matrix.ndim == 1:
             matrix = matrix[None, :]
         if matrix.ndim != 2 or matrix.shape[0] == 0:
@@ -935,7 +915,7 @@ class ShardedIndex:
     def delete(self, row: int) -> None:
         """Tombstone a row by its global id (routed to its owning shard)."""
         self._require_writable()
-        row = operator.index(row)
+        row = validated_row(row)
         with self._write_lock:
             for shard in self._shards:
                 globals_map = shard.globals_map

@@ -48,7 +48,7 @@ class SofaIndex(TreeFacade):
                  leaf_size: int = 100, binning: str = "equi-width",
                  variance_selection: bool = True, sample_fraction: float = 0.01,
                  num_candidate_coefficients: int | None = 16,
-                 split_policy: str = "balanced", random_state: int = 0,
+                 random_state: int = 0,
                  builder: str = "vectorized") -> None:
         super().__init__(
             SFA(
@@ -60,8 +60,7 @@ class SofaIndex(TreeFacade):
                 num_candidate_coefficients=num_candidate_coefficients,
                 random_state=random_state,
             ),
-            leaf_size=leaf_size, split_policy=split_policy,
-            builder=builder)
+            leaf_size=leaf_size, builder=builder)
 
     def mean_selected_coefficient_index(self) -> float:
         """Mean index of the selected Fourier coefficients (Figure 13 x-axis)."""

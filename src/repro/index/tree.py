@@ -42,9 +42,6 @@ from repro.index.buffers import SummaryBuffer, fill_buffers
 from repro.index.node import InnerNode, LeafNode, Node, root_child_word
 from repro.transforms.base import SymbolicSummarization
 
-#: Node-splitting policies supported by the tree.
-SPLIT_POLICIES = ("balanced", "round-robin")
-
 #: Subtree builders: the vectorized frontier splitter (default) and the seed
 #: recursive reference implementation (kept for regression benchmarks and
 #: bit-identity tests).
@@ -77,11 +74,9 @@ class TreeIndex:
         SOFA).  ``build`` fits it on the indexed dataset.
     leaf_size:
         Maximum number of series per leaf before the leaf splits (20 000 in the
-        paper; scaled-down datasets use smaller values).
-    split_policy:
-        ``"balanced"`` chooses the dimension whose next bit splits the node
-        most evenly (the iSAX2.0/MESSI heuristic); ``"round-robin"`` cycles
-        through dimensions in order.
+        paper; scaled-down datasets use smaller values).  A full node splits
+        on the dimension whose next bit divides it most evenly (the
+        iSAX2.0/MESSI heuristic).
     transform_chunks:
         Number of chunks the summarization stage is divided into (bounds the
         memory of one transform call; recorded in snapshot manifests).
@@ -92,14 +87,10 @@ class TreeIndex:
     """
 
     def __init__(self, summarization: SymbolicSummarization, leaf_size: int = 100,
-                 split_policy: str = "balanced", transform_chunks: int = 36,
+                 transform_chunks: int = 36,
                  builder: str = "vectorized") -> None:
         if leaf_size < 1:
             raise InvalidParameterError(f"leaf_size must be >= 1, got {leaf_size}")
-        if split_policy not in SPLIT_POLICIES:
-            raise InvalidParameterError(
-                f"split_policy must be one of {SPLIT_POLICIES}, got '{split_policy}'"
-            )
         if transform_chunks < 1:
             raise InvalidParameterError("transform_chunks must be >= 1")
         if builder not in BUILDERS:
@@ -108,7 +99,6 @@ class TreeIndex:
             )
         self.summarization = summarization
         self.leaf_size = leaf_size
-        self.split_policy = split_policy
         self.transform_chunks = transform_chunks
         self.builder = builder
 
@@ -183,7 +173,6 @@ class TreeIndex:
         """
         return TreeIndex(self.summarization.clone_unfitted(),
                          leaf_size=self.leaf_size,
-                         split_policy=self.split_policy,
                          transform_chunks=self.transform_chunks,
                          builder=self.builder)
 
@@ -349,14 +338,10 @@ class TreeIndex:
 
             valid = ((bits_matrix < max_bits)
                      & (ones > 0) & (ones < sizes[:, None]))
-            if self.split_policy == "round-robin":
-                # First valid dimension in (bits used, dimension index) order.
-                score = bits_matrix * dims + dim_range[None, :]
-            else:
-                # Most balanced split; ties prefer coarser, then earlier
-                # dimensions — the exact `_choose_split` total order.
-                score = ((np.abs(sizes[:, None] - 2 * ones) * (max_bits + 1)
-                          + bits_matrix) * dims + dim_range[None, :])
+            # Most balanced split; ties prefer coarser, then earlier
+            # dimensions — the exact `_choose_split` total order.
+            score = ((np.abs(sizes[:, None] - 2 * ones) * (max_bits + 1)
+                      + bits_matrix) * dims + dim_range[None, :])
             score = np.where(valid, score, unsplittable)
             split_dim = np.argmin(score, axis=1)
             can_split = score[np.arange(num_nodes), split_dim] != unsplittable
@@ -480,16 +465,6 @@ class TreeIndex:
                       ) -> tuple[int | None, np.ndarray | None]:
         """Pick the dimension to split on and return the right-child mask."""
         candidates = np.flatnonzero(bits < max_bits)
-        if self.split_policy == "round-robin":
-            # Split the least-refined dimension first, in index order.
-            candidates = candidates[np.argsort(bits[candidates], kind="stable")]
-            for dimension in candidates:
-                mask = self._next_bit(words, bits, dimension, max_bits).astype(bool)
-                ones = int(mask.sum())
-                if 0 < ones < mask.shape[0]:
-                    return int(dimension), mask
-            return None, None
-
         best_dimension = None
         best_mask = None
         best_imbalance = None

@@ -24,7 +24,6 @@ alive through the swap).
 
 from __future__ import annotations
 
-import operator
 import threading
 from typing import Any, Callable
 
@@ -45,6 +44,7 @@ from repro.index.search import (
     validated_count,
     validated_queries,
     validated_query,
+    validated_row,
 )
 from repro.index.sharded import ShardedIndex, shard_answer, shard_probe
 from repro.index.stats import summarize_search_stats
@@ -605,12 +605,7 @@ class SearchApp:
     def delete(self, name: str, row) -> dict:
         """Tombstone one global row id in a writable index."""
         entry = self._writable(name)
-        try:
-            row = operator.index(row)
-        except TypeError:
-            raise ValidationError(
-                f"row must be an integer id, got {row!r} of type "
-                f"{type(row).__name__}") from None
+        row = validated_row(row)
         entry.engine.delete(row)
         return {
             "index": name,

@@ -220,6 +220,21 @@ class TestEveryDocumentedFailureIsTyped:
             with pytest.raises(ReproError):
                 call()
 
+    @pytest.mark.parametrize("index_fixture",
+                             ["dynamic_index", "sharded_index"])
+    def test_write_surfaces(self, index_fixture, request):
+        """Non-numeric inserts and non-integral row ids fail typed, before
+        anything is written."""
+        index = request.getfixturevalue(index_fixture)
+        surviving = index.num_surviving
+        for call in [lambda: index.insert("abc"),
+                     lambda: index.insert_batch("abc"),
+                     lambda: index.delete("3"),
+                     lambda: index.delete(2.5)]:
+            with pytest.raises(ValidationError):
+                call()
+        assert index.num_surviving == surviving
+
 
 # ----------------------------------------------------- empty-batch contract
 

@@ -12,6 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import repro.index.search
 from repro.core.errors import SearchError
 from repro.index.batch_search import BatchSearcher
 from repro.index.messi import MessiIndex
@@ -25,6 +26,12 @@ def built_tree(clustered_index_and_queries):
     return SofaIndex(leaf_size=40).build(index_set).tree, queries
 
 
+def _force_path(monkeypatch, threshold):
+    """Force both engines onto the tree (``0.0``) or flat (``inf``) path."""
+    monkeypatch.setattr(repro.index.search, "FLAT_REFINEMENT_THRESHOLD",
+                        threshold)
+
+
 def _assert_results_identical(batched, looped):
     assert len(batched) == len(looped)
     for batched_result, looped_result in zip(batched, looped):
@@ -34,30 +41,34 @@ def _assert_results_identical(batched, looped):
 
 class TestExactEquivalence:
     @pytest.mark.parametrize("k", [1, 3, 10])
-    def test_tree_path_matches_per_query(self, built_tree, k):
+    def test_tree_path_matches_per_query(self, built_tree, k, monkeypatch):
         tree, queries = built_tree
-        searcher = ExactSearcher(tree, flat_refinement_threshold=0.0)
-        batcher = BatchSearcher(tree, flat_refinement_threshold=0.0)
+        _force_path(monkeypatch, 0.0)
+        searcher = ExactSearcher(tree)
+        batcher = BatchSearcher(tree)
         batched = batcher.knn_batch(queries.values, k=k)
         looped = [searcher.knn(query, k=k) for query in queries.values]
         _assert_results_identical(batched, looped)
 
     @pytest.mark.parametrize("k", [1, 3, 10])
-    def test_flat_path_matches_per_query(self, built_tree, k):
+    def test_flat_path_matches_per_query(self, built_tree, k, monkeypatch):
         tree, queries = built_tree
-        searcher = ExactSearcher(tree, flat_refinement_threshold=np.inf)
-        batcher = BatchSearcher(tree, flat_refinement_threshold=np.inf)
+        _force_path(monkeypatch, np.inf)
+        searcher = ExactSearcher(tree)
+        batcher = BatchSearcher(tree)
         batched = batcher.knn_batch(queries.values, k=k)
         looped = [searcher.knn(query, k=k) for query in queries.values]
         _assert_results_identical(batched, looped)
 
-    def test_paths_agree_with_each_other(self, built_tree):
+    def test_paths_agree_with_each_other(self, built_tree, monkeypatch):
         """Tree-path and flat-path batched answers are themselves identical."""
         tree, queries = built_tree
-        via_tree = BatchSearcher(tree, flat_refinement_threshold=0.0)
-        via_flat = BatchSearcher(tree, flat_refinement_threshold=np.inf)
-        _assert_results_identical(via_tree.knn_batch(queries.values, k=5),
-                                  via_flat.knn_batch(queries.values, k=5))
+        batcher = BatchSearcher(tree)
+        _force_path(monkeypatch, 0.0)
+        via_tree = batcher.knn_batch(queries.values, k=5)
+        _force_path(monkeypatch, np.inf)
+        via_flat = batcher.knn_batch(queries.values, k=5)
+        _assert_results_identical(via_tree, via_flat)
 
     def test_tied_distances_select_identical_neighbours(self):
         """Duplicate series force exact distance ties; both engines must keep
@@ -122,9 +133,10 @@ class TestApiAndStats:
         with pytest.raises(SearchError):
             BatchSearcher(SofaIndex(leaf_size=40).tree)
 
-    def test_stats_are_populated_per_query(self, built_tree):
+    def test_stats_are_populated_per_query(self, built_tree, monkeypatch):
         tree, queries = built_tree
-        batcher = BatchSearcher(tree, flat_refinement_threshold=0.0)
+        _force_path(monkeypatch, 0.0)
+        batcher = BatchSearcher(tree)
         results = batcher.knn_batch(queries.values[:6], k=3)
         for result in results:
             stats = result.stats
@@ -151,12 +163,14 @@ class TestApiAndStats:
 
 class TestMeasuredRoundShares:
     @pytest.mark.parametrize("threshold", [0.0, np.inf], ids=["tree", "flat"])
-    def test_per_query_shares_sum_within_batch_wall_time(self, built_tree, threshold):
+    def test_per_query_shares_sum_within_batch_wall_time(self, built_tree, threshold,
+                                                         monkeypatch):
         """Each query is charged its share of every round it took part in,
         so the shares of one batch add up to no more than the batch's wall
         time (which every result carries)."""
         tree, queries = built_tree
-        batcher = BatchSearcher(tree, flat_refinement_threshold=threshold)
+        _force_path(monkeypatch, threshold)
+        batcher = BatchSearcher(tree)
         results = batcher.knn_batch(queries.values, k=3)
         walls = {result.stats.wall_time_s for result in results}
         assert len(walls) == 1

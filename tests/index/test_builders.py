@@ -99,13 +99,12 @@ def clustered_split():
 class TestBuilderEquivalence:
     """Vectorized frontier builder vs the seed recursive reference."""
 
-    @pytest.mark.parametrize("policy", ["balanced", "round-robin"])
     @pytest.mark.parametrize("leaf_size", [1, 10, 1000])
-    def test_tree_index_builders_are_bit_identical(self, walk_dataset, policy,
+    def test_tree_index_builders_are_bit_identical(self, walk_dataset,
                                                    leaf_size):
         trees = {
             builder: TreeIndex(SAX(word_length=8, alphabet_size=16),
-                               leaf_size=leaf_size, split_policy=policy,
+                               leaf_size=leaf_size,
                                builder=builder).build(walk_dataset)
             for builder in BUILDERS
         }

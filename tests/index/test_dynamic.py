@@ -351,17 +351,6 @@ class TestCompactionMachinery:
             assert np.array_equal(during_result.distances,
                                   after_result.distances)
 
-    def test_auto_compact_triggers_in_background(self, kind):
-        base = random_walk(10, SERIES_LENGTH, seed=89)
-        dynamic = _build(kind, base, 4).dynamic(compact_threshold=0.2,
-                                                auto_compact=True)
-        dynamic.insert_batch(random_walk(4, SERIES_LENGTH, seed=90))
-        task = dynamic._compaction_task
-        assert task is not None
-        task.wait(timeout=30.0)
-        assert dynamic.delta_count == 0
-        assert dynamic.num_base == 14
-
     def test_compact_in_background_shares_running_task(self, kind):
         """A second request while a merge runs returns the same handle."""
         import threading
@@ -384,21 +373,21 @@ class TestCompactionMachinery:
         first.wait(timeout=30.0)
         assert dynamic.delta_count == 0
 
-    def test_failed_auto_compaction_surfaces_on_next_write(self, kind):
-        """A crashed background merge re-raises instead of being swallowed."""
+    def test_failed_background_compaction_surfaces_on_next_request(self, kind):
+        """A crashed background merge re-raises from the next
+        ``compact_in_background`` call instead of being swallowed."""
         base = random_walk(10, SERIES_LENGTH, seed=91)
-        dynamic = _build(kind, base, 4).dynamic(compact_threshold=0.2,
-                                                auto_compact=True)
+        dynamic = _build(kind, base, 4).dynamic()
 
         def broken_clone():
             raise RuntimeError("rebuild exploded")
 
         dynamic._state.tree.clone_unbuilt = broken_clone
         block = random_walk(4, SERIES_LENGTH, seed=92)
-        dynamic.insert_batch(block)  # crosses the threshold, starts the merge
-        dynamic._compaction_task._thread.join(30.0)
+        dynamic.insert_batch(block)
+        dynamic.compact_in_background()._thread.join(30.0)
         with pytest.raises(RuntimeError, match="rebuild exploded"):
-            dynamic.insert_batch(block)
+            dynamic.compact_in_background()
         # The failure was consumed; serving and manual recovery still work.
         assert dynamic._compaction_task is None
         dynamic.knn(block[0], k=3)

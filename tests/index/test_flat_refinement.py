@@ -9,6 +9,7 @@ answers and that the degenerate-tree detection behaves as documented.
 import numpy as np
 import pytest
 
+import repro.index.search
 from repro.baselines.serial_scan import SerialScan
 from repro.core.series import Dataset
 from repro.datasets.registry import load_dataset
@@ -37,13 +38,16 @@ class TestFlatPathExactness:
         tree, _, _ = degenerate_setup
         assert tree.average_leaf_size < 1.5
 
-    def test_flat_and_leafwise_paths_agree(self, degenerate_setup):
+    def test_flat_and_leafwise_paths_agree(self, degenerate_setup, monkeypatch):
         tree, index_set, queries = degenerate_setup
-        flat = ExactSearcher(tree, flat_refinement_threshold=1.5)
-        leafwise = ExactSearcher(tree, flat_refinement_threshold=0.0)
+        searcher = ExactSearcher(tree)
         for query in queries.values:
-            flat_result = flat.knn(query, k=3)
-            leafwise_result = leafwise.knn(query, k=3)
+            monkeypatch.setattr(repro.index.search,
+                                "FLAT_REFINEMENT_THRESHOLD", 1.5)
+            flat_result = searcher.knn(query, k=3)
+            monkeypatch.setattr(repro.index.search,
+                                "FLAT_REFINEMENT_THRESHOLD", 0.0)
+            leafwise_result = searcher.knn(query, k=3)
             assert np.allclose(flat_result.distances, leafwise_result.distances)
             assert np.array_equal(flat_result.indices, leafwise_result.indices)
 
@@ -62,9 +66,10 @@ class TestFlatPathExactness:
         result = searcher.knn(queries[0], k=10)
         assert len(set(result.indices.tolist())) == 10
 
-    def test_flat_path_records_block_work(self, degenerate_setup):
+    def test_flat_path_records_block_work(self, degenerate_setup, monkeypatch):
         tree, _, queries = degenerate_setup
-        searcher = ExactSearcher(tree, flat_refinement_threshold=1.5)
+        monkeypatch.setattr(repro.index.search, "FLAT_REFINEMENT_THRESHOLD", 1.5)
+        searcher = ExactSearcher(tree)
         stats = searcher.knn(queries[0], k=1).stats
         assert stats.series_lower_bounds == tree.num_series
         assert stats.exact_distances >= 1
@@ -103,9 +108,11 @@ class TestGroupedRefinement:
             assert index.nearest_neighbor(query).nearest_distance == pytest.approx(
                 expected, abs=1e-8)
 
-    def test_threshold_zero_disables_flat_path(self, degenerate_setup):
+    def test_threshold_zero_disables_flat_path(self, degenerate_setup,
+                                               monkeypatch):
         tree, _, queries = degenerate_setup
-        searcher = ExactSearcher(tree, flat_refinement_threshold=0.0)
+        monkeypatch.setattr(repro.index.search, "FLAT_REFINEMENT_THRESHOLD", 0.0)
+        searcher = ExactSearcher(tree)
         stats = searcher.knn(queries[0], k=1).stats
         # The leaf-wise path reports visited leaves; the flat path does not.
         assert stats.leaves_visited >= 1

@@ -289,6 +289,18 @@ class TestFormatVersioning:
         with pytest.raises(IndexError_, match="missing required key 'tree.leaf_size'"):
             persistence.load_index(snapshot)
 
+    def test_foreign_split_policy_raises_typed_error(self, snapshot):
+        """Every tree splits balanced; a manifest naming another policy
+        describes a tree this library cannot rebuild, on either loader."""
+        manifest = json.loads((snapshot / "manifest.json").read_text())
+        assert manifest["tree"]["split_policy"] == "balanced"
+        manifest["tree"]["split_policy"] = "round-robin"
+        persistence.stamp_manifest_checksum(manifest)
+        (snapshot / "manifest.json").write_text(json.dumps(manifest))
+        for load in (persistence.load_index, persistence.load_dynamic):
+            with pytest.raises(IndexError_, match="split policy 'round-robin'"):
+                load(snapshot)
+
 
 class TestGoldenSnapshot:
     """The checked-in format-v1 fixture must keep loading and answering."""

@@ -25,6 +25,12 @@ from repro.index.sofa import SofaIndex
 from repro.index.stats import merge_search_stats
 
 
+def _force_path(monkeypatch, threshold):
+    """Force both engines onto the tree (``0.0``) or flat (``inf``) path."""
+    monkeypatch.setattr(repro.index.search, "FLAT_REFINEMENT_THRESHOLD",
+                        threshold)
+
+
 def _assert_identical(reference, candidate):
     assert np.array_equal(reference.indices, candidate.indices)
     assert np.array_equal(reference.distances, candidate.distances)
@@ -47,7 +53,7 @@ def built_indexes(clustered_index_and_queries):
 
 
 class TestTiesAndKernels:
-    def test_exact_ties_bit_identical(self):
+    def test_exact_ties_bit_identical(self, monkeypatch):
         """Duplicated series force exact distance ties; both engines keep
         the same rows (smaller row wins under the total order)."""
         rng = np.random.default_rng(7)
@@ -55,9 +61,9 @@ class TestTiesAndKernels:
         data = np.vstack([base, base, base])
         queries = base[:10] + rng.normal(scale=0.05, size=(10, 64))
         index = SofaIndex(leaf_size=20).build(data)
+        searcher = ExactSearcher(index.tree)
         for threshold in (0.0, np.inf):  # tree path and flat path
-            searcher = ExactSearcher(index.tree,
-                                     flat_refinement_threshold=threshold)
+            _force_path(monkeypatch, threshold)
             _assert_batch_matches(searcher, queries, k=5)
             for row, query in enumerate(queries):
                 result = searcher.knn(query, k=5)
@@ -93,7 +99,7 @@ class TestTiesAndKernels:
                               plain.knn(query, k=4))
         _assert_batch_matches(abandoning, queries, k=4)
 
-    def test_duplicate_query_ties_at_zero(self):
+    def test_duplicate_query_ties_at_zero(self, monkeypatch):
         """Regression: hundreds of exact copies of the query make lower bound
         == distance == final threshold == 0 span many refinement groups; the
         tie-tolerant admission (``_admissible``) must still refine the
@@ -104,9 +110,9 @@ class TestTiesAndKernels:
         probe = rng.normal(size=length).cumsum()
         data = np.vstack([noise, np.tile(probe, (300, 1))])
         index = SofaIndex(leaf_size=20).build(data)
+        searcher = ExactSearcher(index.tree)
         for flat_threshold in (0.0, np.inf):  # tree path and flat path
-            searcher = ExactSearcher(index.tree,
-                                     flat_refinement_threshold=flat_threshold)
+            _force_path(monkeypatch, flat_threshold)
             expected = searcher.knn(probe, k=3)
             # The duplicates sit at distance 0; smallest rows win the tie.
             assert expected.indices.tolist() == [50, 51, 52]
@@ -133,13 +139,14 @@ class TestTiesAndKernels:
             target.insert_batch(rng.normal(size=(15, 64)).cumsum(axis=1))
             target.delete(int(rng.integers(0, 70)))        # base tombstone
             target.delete(70 + int(rng.integers(0, 15)))   # delta tombstone
-            searcher = ExactSearcher(target.tree, flat_refinement_threshold=threshold,
+            searcher = ExactSearcher(target.tree,
                                      delta_source=target._state.capture)
         else:
-            searcher = ExactSearcher(index.tree,
-                                     flat_refinement_threshold=threshold)
+            searcher = ExactSearcher(index.tree)
         queries = base[:4] + rng.normal(scale=0.05, size=(4, 64))
-        _assert_batch_matches(searcher, queries, k=k)
+        with pytest.MonkeyPatch.context() as monkeypatch:
+            _force_path(monkeypatch, threshold)
+            _assert_batch_matches(searcher, queries, k=k)
 
 
 class TestDynamicSearch:
@@ -290,13 +297,16 @@ class TestMeasuredPhaseTimes:
             assert stats.total_time <= stats.wall_time_s
 
     @pytest.mark.parametrize("label", ["SOFA", "MESSI"])
-    def test_tree_path_phases_fit_inside_wall_time(self, built_indexes, label):
+    def test_tree_path_phases_fit_inside_wall_time(self, built_indexes, label,
+                                                   monkeypatch):
         indexes, queries = built_indexes
-        searcher = ExactSearcher(indexes[label].tree, flat_refinement_threshold=0.0)
+        _force_path(monkeypatch, 0.0)
+        searcher = ExactSearcher(indexes[label].tree)
         self._assert_phases_inside_wall(searcher, queries)
 
-    def test_flat_path_phases_fit_inside_wall_time(self, built_indexes):
+    def test_flat_path_phases_fit_inside_wall_time(self, built_indexes,
+                                                   monkeypatch):
         indexes, queries = built_indexes
-        searcher = ExactSearcher(indexes["SOFA"].tree,
-                                 flat_refinement_threshold=np.inf)
+        _force_path(monkeypatch, np.inf)
+        searcher = ExactSearcher(indexes["SOFA"].tree)
         self._assert_phases_inside_wall(searcher, queries)

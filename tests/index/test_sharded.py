@@ -256,16 +256,6 @@ class TestPersistence:
         finally:
             reloaded.close()
 
-    def test_eager_load_works_when_all_shards_healthy(self, tmp_path,
-                                                      base_rows, queries):
-        _build_sharded(base_rows, tmp_path / "s", 3).close()
-        sharded = ShardedIndex.load(tmp_path / "s", lazy=False,
-                                    health=HealthPolicy(auto_probe=False))
-        try:
-            assert sharded.shard_states() == ["healthy"] * 3
-            assert sharded.knn(queries[0], k=2).stats.coverage == 1.0
-        finally:
-            sharded.close()
 
 
 class TestValidation:

@@ -22,10 +22,6 @@ class TestConstruction:
         with pytest.raises(InvalidParameterError):
             TreeIndex(SAX(), leaf_size=0)
 
-    def test_invalid_split_policy(self):
-        with pytest.raises(InvalidParameterError):
-            TreeIndex(SAX(), split_policy="random")
-
     def test_not_built_flags(self):
         tree = TreeIndex(SAX())
         assert not tree.is_built
@@ -76,11 +72,6 @@ class TestStructure:
         small = _build_tree(walk_dataset, leaf_size=5)
         large = _build_tree(walk_dataset, leaf_size=50)
         assert len(large.leaves()) <= len(small.leaves())
-
-    def test_round_robin_policy_builds_valid_tree(self, walk_dataset):
-        tree = _build_tree(walk_dataset, leaf_size=10, split_policy="round-robin")
-        stored = np.concatenate([leaf.indices for leaf in tree.leaves()])
-        assert np.array_equal(np.sort(stored), np.arange(walk_dataset.num_series))
 
     def test_sfa_tree_builds(self, oscillatory_dataset):
         summarization = SFA(word_length=8, alphabet_size=16, sample_fraction=1.0)

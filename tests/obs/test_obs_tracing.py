@@ -18,6 +18,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import repro.index.search
 from repro.datasets.synthetic import random_walk
 from repro.index.dynamic import DynamicIndex
 from repro.index.search import ExactSearcher
@@ -178,11 +179,13 @@ class TestEngineTracing:
 
 class TestRefinementSpans:
     def test_tree_refinement_phase_is_the_stats_refinement_time(
-            self, static_engine):
+            self, static_engine, monkeypatch):
         """On the static tree path the ``refinement`` phase and
         ``stats.refinement_time`` are one measurement: the queue drain's
         wall time."""
-        searcher = ExactSearcher(static_engine.tree, flat_refinement_threshold=0.0)
+        monkeypatch.setattr(repro.index.search, "FLAT_REFINEMENT_THRESHOLD",
+                            0.0)
+        searcher = ExactSearcher(static_engine.tree)
         for query in QUERIES[:4]:
             trace = Trace()
             result = searcher.knn(query, k=3, trace=trace)
@@ -191,11 +194,12 @@ class TestRefinementSpans:
 
     @pytest.mark.parametrize("threshold", [0.0, np.inf], ids=["tree", "flat"])
     def test_refinement_has_no_per_worker_detail(self, static_engine,
-                                                 threshold):
+                                                 threshold, monkeypatch):
         """The only detail span of an unsharded query is the heap's
         counters."""
-        searcher = ExactSearcher(static_engine.tree,
-                                 flat_refinement_threshold=threshold)
+        monkeypatch.setattr(repro.index.search, "FLAT_REFINEMENT_THRESHOLD",
+                            threshold)
+        searcher = ExactSearcher(static_engine.tree)
         trace = Trace()
         searcher.knn(QUERIES[0], k=3, trace=trace)
         details = [span.name for span in trace.spans if span.kind == "detail"]

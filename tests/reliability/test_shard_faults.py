@@ -306,8 +306,7 @@ class TestHungShards:
             base_rows, tmp_path / "shards", num_shards=NUM_SHARDS,
             index_factory=_factory,
             retry=RetryPolicy(max_attempts=1),
-            health=HealthPolicy(auto_probe=False),
-            gather_grace_s=0.2)
+            health=HealthPolicy(auto_probe=False))
         try:
             index.knn(queries[0], k=1)  # load every shard engine
             _wrap_shard(index, 3, hang_s=hang_s)
