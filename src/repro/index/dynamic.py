@@ -58,6 +58,7 @@ rotates the segment with the generation swap.
 
 from __future__ import annotations
 
+import numbers
 import threading
 import time
 from dataclasses import dataclass
@@ -293,9 +294,10 @@ class DynamicIndex:
             raise IndexError_(
                 "DynamicIndex requires a built index; call build() first"
             )
-        if not compact_threshold > 0:
+        if not (isinstance(compact_threshold, numbers.Real)
+                and compact_threshold > 0):
             raise InvalidParameterError(
-                f"compact_threshold must be positive, got {compact_threshold}"
+                f"compact_threshold must be positive, got {compact_threshold!r}"
             )
         self.compact_threshold = float(compact_threshold)
         self._state = _DynamicState(tree, index_type)

@@ -30,6 +30,7 @@ each stage and of the whole build (Figure 7).
 
 from __future__ import annotations
 
+import operator
 import time
 from dataclasses import dataclass
 
@@ -89,6 +90,12 @@ class TreeIndex:
     def __init__(self, summarization: SymbolicSummarization, leaf_size: int = 100,
                  transform_chunks: int = 36,
                  builder: str = "vectorized") -> None:
+        try:
+            leaf_size = operator.index(leaf_size)
+        except TypeError:
+            raise InvalidParameterError(
+                f"leaf_size must be an integer, got {leaf_size!r}"
+            ) from None
         if leaf_size < 1:
             raise InvalidParameterError(f"leaf_size must be >= 1, got {leaf_size}")
         if transform_chunks < 1:

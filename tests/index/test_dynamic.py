@@ -288,6 +288,13 @@ class TestEdgeCases:
         with pytest.raises(InvalidParameterError, match="compact_threshold"):
             DynamicIndex(built, compact_threshold=0.0)
 
+    def test_non_numeric_compact_threshold_is_typed(self):
+        built = _build("messi", random_walk(8, SERIES_LENGTH, seed=68), 4)
+        for threshold in ("x", None):
+            with pytest.raises(InvalidParameterError,
+                               match="compact_threshold"):
+                DynamicIndex(built, compact_threshold=threshold)
+
     def test_bare_tree_is_supported(self):
         tree = TreeIndex(SAX(word_length=8, alphabet_size=16), leaf_size=4)
         tree.build(random_walk(10, SERIES_LENGTH, seed=69))
@@ -350,6 +357,20 @@ class TestCompactionMachinery:
                                   after_result.distances)
             assert np.array_equal(during_result.distances,
                                   after_result.distances)
+
+    def test_crossing_the_threshold_flags_but_never_merges(self, kind):
+        """Writes past ``compact_threshold`` only raise ``needs_compaction``;
+        a merge runs only when the caller asks for one."""
+        base = random_walk(10, SERIES_LENGTH, seed=89)
+        dynamic = _build(kind, base, 4).dynamic(compact_threshold=0.2)
+        dynamic.insert_batch(random_walk(4, SERIES_LENGTH, seed=90))
+        assert dynamic.needs_compaction
+        assert dynamic._compaction_task is None
+        assert dynamic.delta_count == 4
+        dynamic.compact_in_background().wait(timeout=30.0)
+        assert not dynamic.needs_compaction
+        assert dynamic.delta_count == 0
+        assert dynamic.num_base == 14
 
     def test_compact_in_background_shares_running_task(self, kind):
         """A second request while a merge runs returns the same handle."""

@@ -256,6 +256,20 @@ class TestPersistence:
         finally:
             reloaded.close()
 
+    def test_load_opens_shard_engines_on_first_query(self, tmp_path,
+                                                      base_rows, queries):
+        """Load reads only the manifests; a healthy directory still answers
+        its first query from every shard."""
+        _build_sharded(base_rows, tmp_path / "s", 3).close()
+        sharded = ShardedIndex.load(tmp_path / "s",
+                                    health=HealthPolicy(auto_probe=False))
+        try:
+            assert sharded.shard_states() == ["healthy"] * 3
+            assert all(shard.engine is None for shard in sharded._shards)
+            assert sharded.knn(queries[0], k=2).stats.coverage == 1.0
+            assert all(shard.engine is not None for shard in sharded._shards)
+        finally:
+            sharded.close()
 
 
 class TestValidation:

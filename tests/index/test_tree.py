@@ -22,6 +22,13 @@ class TestConstruction:
         with pytest.raises(InvalidParameterError):
             TreeIndex(SAX(), leaf_size=0)
 
+    @pytest.mark.parametrize("leaf_size", ["3", 2.5, None])
+    def test_non_integral_leaf_size_is_typed(self, leaf_size):
+        """A non-integer capacity fails typed, not as a bare ``TypeError``
+        from the range comparison."""
+        with pytest.raises(InvalidParameterError, match="leaf_size"):
+            TreeIndex(SAX(), leaf_size=leaf_size)
+
     def test_not_built_flags(self):
         tree = TreeIndex(SAX())
         assert not tree.is_built
