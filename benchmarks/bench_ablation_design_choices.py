@@ -5,14 +5,15 @@ variance-based coefficient selection, equi-width (vs. equi-depth) learned
 binning, and the learned quantization itself (vs. SAX's fixed Gaussian bins).
 This benchmark removes them one at a time and measures how much pruning work
 (exact distance computations per query) each variant needs on a high-frequency
-dataset — the mechanism behind the speed-ups of Figure 12.
+dataset — the mechanism behind the speed-ups of Figure 12.  Every variant
+walks its tree (``gemini_tree_path``), so the counts are lower-bound pruning.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from common import bench_leaf_size, report
+from common import bench_leaf_size, gemini_tree_path, report
 
 from repro.evaluation.reporting import format_table
 from repro.index.messi import MessiIndex
@@ -20,8 +21,10 @@ from repro.index.sofa import SofaIndex
 
 
 def _mean_exact_distances(index, queries) -> float:
-    return float(np.mean([index.nearest_neighbor(query).stats.exact_distances
-                          for query in queries.values]))
+    with gemini_tree_path():
+        return float(np.mean([
+            index.nearest_neighbor(query).stats.exact_distances
+            for query in queries.values]))
 
 
 def test_ablation_design_choices(sweep_suite, benchmark):

@@ -12,7 +12,7 @@ best-so-far, so they prune less than the paper's shared-memory threads.
 Measured and reported:
 
 * the distribution of per-dataset mean 1-NN query times of SOFA and MESSI
-  on one thread;
+  on one thread, both walking their trees (``gemini_tree_path``);
 * one representative dataset's mean 1-NN latency through a
   :class:`~repro.cluster.ClusterIndex` at 1 and 2 shard processes, next to
   the in-process index (no timing gate: the scaling is hardware-dependent).
@@ -34,7 +34,7 @@ from pathlib import Path
 
 import numpy as np
 
-from common import bench_leaf_size, report
+from common import bench_leaf_size, gemini_tree_path, report
 
 from repro.cluster import ClusterIndex
 from repro.evaluation.reporting import format_table
@@ -89,7 +89,8 @@ def test_fig10_core_scaling(sweep_suite, benchmark):
     for name, (index_set, queries) in sweep_suite.items():
         for label, index_cls in INDEXES.items():
             index = index_cls(leaf_size=bench_leaf_size()).build(index_set)
-            elapsed_ms, results = _mean_query_ms(index, queries.values)
+            with gemini_tree_path():
+                elapsed_ms, results = _mean_query_ms(index, queries.values)
             mean_times.setdefault(label, {})[name] = elapsed_ms
             mean_work.setdefault(label, {})[name] = float(np.mean(
                 [result.stats.exact_distances for result in results]))

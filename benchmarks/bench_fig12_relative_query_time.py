@@ -7,10 +7,10 @@ This benchmark reports the per-dataset relative measured time (one worker)
 next to the relative refinement work (exact distances per query).
 
 The asserted shape is carried by the *work* ratio: it is scale-free and
-machine-independent, whereas at reproduction scale SOFA's per-leaf refinement
-loop costs more Python time than its pruning saves, so the measured time
-ratio sits above 1 on average.  The time ratios are reported in the table
-and in the ``--bench-json`` record.
+machine-independent.  Both tree indexes walk their trees, as in
+``bench_table2_exact_1nn``, so the work ratio compares the two lower bounds.
+The time ratios are reported in the table and in the ``--bench-json``
+record.
 """
 
 from __future__ import annotations

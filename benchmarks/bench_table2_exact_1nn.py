@@ -14,10 +14,12 @@ Asserted shape:
   and a count that does not depend on the machine;
 * SOFA's measured time is below the scan's.
 
-SOFA's measured time is *not* asserted against MESSI's: at reproduction
-scale SOFA's per-leaf refinement loop costs more Python time than MESSI's
-flat path spends on its extra distances, so SOFA is slower per query here.
-The time ratio is reported in the table and in the ``--bench-json`` record.
+Both tree indexes walk their trees (``common.gemini_tree_path``, applied by
+the ``workload_1nn`` fixture): a shattered tree would otherwise take the
+certified flat path, whose count of exact distances (about ``k``) says
+nothing about the lower bound.  SOFA's measured time is *not* asserted
+against MESSI's; the time ratio is reported in the table and in the
+``--bench-json`` record.
 """
 
 from __future__ import annotations

@@ -7,10 +7,10 @@ sweep-dataset subset.
 
 Asserted shape: for every k SOFA computes no more exact distances per query
 than MESSI (the machine-independent pruning advantage behind the paper's
-ordering), and no method's measured median blows up with k.  SOFA's measured
-time is not asserted against MESSI's: at reproduction scale SOFA's per-leaf
-refinement loop makes it slower per query (see ``bench_table2_exact_1nn``);
-the per-k time ratios are reported in the ``--bench-json`` record.
+ordering), and no method's measured median blows up with k.  Both tree
+indexes walk their trees, as in ``bench_table2_exact_1nn``.  SOFA's measured
+time is not asserted against MESSI's; the per-k time ratios are reported in
+the ``--bench-json`` record.
 """
 
 from __future__ import annotations

@@ -25,6 +25,9 @@ import json
 import os
 import platform
 import time
+from contextlib import contextmanager
+
+import repro.index.search
 
 #: Registry of (title, text) report blocks printed in the terminal summary.
 _REPORTS: list[tuple[str, str]] = []
@@ -94,6 +97,24 @@ def write_json_results(path: str) -> None:
     with open(path, "w", encoding="utf-8") as handle:
         json.dump(payload, handle, indent=2, sort_keys=True)
         handle.write("\n")
+
+
+@contextmanager
+def gemini_tree_path():
+    """Search every tree index by walking its tree, as the paper does.
+
+    The paper's work counts (exact distances per query) measure how well an
+    index's lower bound prunes.  A shattered tree otherwise takes the
+    certified flat path, which estimates every distance with BLAS, computes
+    no lower bound, and refines only about ``k`` rows, so its count says
+    nothing about the bound.
+    """
+    saved = repro.index.search.FLAT_REFINEMENT_THRESHOLD
+    repro.index.search.FLAT_REFINEMENT_THRESHOLD = 0.0
+    try:
+        yield
+    finally:
+        repro.index.search.FLAT_REFINEMENT_THRESHOLD = saved
 
 
 def bench_num_series() -> int:

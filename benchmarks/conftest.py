@@ -22,6 +22,7 @@ from common import (  # noqa: E402
     bench_num_queries,
     bench_num_series,
     collected_reports,
+    gemini_tree_path,
     write_json_results,
 )
 
@@ -79,12 +80,17 @@ def workload_runner():
 
 @pytest.fixture(scope="session")
 def workload_1nn(benchmark_suite, workload_runner):
-    """The Table II workload: every method, every dataset, 1-NN."""
-    return workload_runner.run_suite(benchmark_suite, k_values=(1,))
+    """The Table II workload: every method, every dataset, 1-NN, with the
+    tree indexes on their trees (see :func:`common.gemini_tree_path`)."""
+    with gemini_tree_path():
+        return workload_runner.run_suite(benchmark_suite, k_values=(1,))
 
 
 @pytest.fixture(scope="session")
 def workload_knn(sweep_suite, workload_runner):
-    """The Table III / Figure 9 workload: k sweep on the sweep subset."""
-    return workload_runner.run_suite(sweep_suite, methods=("FAISS", "MESSI", "SOFA"),
-                                     k_values=(1, 3, 5, 10, 20, 50))
+    """The Table III / Figure 9 workload: k sweep on the sweep subset, with
+    the tree indexes on their trees."""
+    with gemini_tree_path():
+        return workload_runner.run_suite(
+            sweep_suite, methods=("FAISS", "MESSI", "SOFA"),
+            k_values=(1, 3, 5, 10, 20, 50))

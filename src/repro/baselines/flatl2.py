@@ -21,6 +21,11 @@ import numpy as np
 from repro.core.errors import SearchError
 from repro.core.normalization import znormalize_batch
 from repro.core.series import Dataset
+from repro.index.search import (
+    validated_count,
+    validated_queries,
+    validated_query,
+)
 
 
 @dataclass
@@ -71,13 +76,8 @@ class FlatL2Index:
     def search(self, queries: np.ndarray, k: int = 1) -> BatchSearchResult:
         """Exact k-NN of a batch of queries (one query per row)."""
         self._require_built()
-        queries = np.atleast_2d(np.asarray(queries, dtype=np.float64))
-        if queries.shape[1] != self.dataset.series_length:
-            raise SearchError(
-                f"queries must have length {self.dataset.series_length}, "
-                f"got {queries.shape[1]}"
-            )
-        if k < 1 or k > self.dataset.num_series:
+        queries = validated_queries(queries, self.dataset.series_length)
+        if validated_count(k) > self.dataset.num_series:
             raise SearchError(f"k must be in [1, {self.dataset.num_series}], got {k}")
         queries = znormalize_batch(queries)
 
@@ -106,7 +106,9 @@ class FlatL2Index:
 
     def knn(self, query: np.ndarray, k: int = 1) -> tuple[np.ndarray, np.ndarray]:
         """Single-query convenience wrapper returning ``(indices, distances)``."""
-        result = self.search(np.asarray(query, dtype=np.float64).reshape(1, -1), k=k)
+        self._require_built()
+        result = self.search(
+            validated_query(query, self.dataset.series_length)[None, :], k=k)
         return result.indices[0], result.distances[0]
 
     def nearest_neighbor(self, query: np.ndarray) -> tuple[int, float]:

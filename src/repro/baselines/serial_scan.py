@@ -14,6 +14,7 @@ from repro.core.distance import squared_euclidean_batch
 from repro.core.errors import SearchError
 from repro.core.normalization import znormalize
 from repro.core.series import Dataset
+from repro.index.search import validated_count, validated_query
 
 
 class SerialScan:
@@ -31,9 +32,9 @@ class SerialScan:
         """Return ``(indices, distances)`` of the exact k nearest neighbours."""
         if self.dataset is None:
             raise SearchError("SerialScan.build must be called before querying")
-        if k < 1 or k > self.dataset.num_series:
+        if validated_count(k) > self.dataset.num_series:
             raise SearchError(f"k must be in [1, {self.dataset.num_series}], got {k}")
-        query = znormalize(np.asarray(query, dtype=np.float64))
+        query = znormalize(validated_query(query, self.dataset.series_length))
         squared = squared_euclidean_batch(query, self.dataset.values)
         order = np.argsort(squared, kind="stable")[:k]
         return order.astype(np.int64), np.sqrt(squared[order])

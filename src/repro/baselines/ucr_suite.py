@@ -22,6 +22,7 @@ from repro.core.distance import squared_euclidean_batch, squared_euclidean_early
 from repro.core.errors import SearchError
 from repro.core.normalization import znormalize
 from repro.core.series import Dataset
+from repro.index.search import validated_count, validated_query
 
 
 @dataclass
@@ -65,9 +66,9 @@ class UcrSuiteScan:
         """Exact k-NN with early abandoning."""
         if self.dataset is None:
             raise SearchError("UcrSuiteScan.build must be called before querying")
-        if k < 1 or k > self.dataset.num_series:
+        if validated_count(k) > self.dataset.num_series:
             raise SearchError(f"k must be in [1, {self.dataset.num_series}], got {k}")
-        query = znormalize(np.asarray(query, dtype=np.float64))
+        query = znormalize(validated_query(query, self.dataset.series_length))
 
         stats = ScanStats()
         values = self.dataset.values

@@ -31,6 +31,13 @@ and the reported results are bit-identical because both engines package their
 winners through :func:`repro.index.search.finalize_result`, which recomputes
 distances on a canonical row order.
 
+That is the tree path.  On a degenerate tree (see
+:func:`~repro.index.search.uses_flat_refinement`) the batch takes the
+certified flat path instead: one GEMM estimates every (query, row) distance
+(:func:`~repro.index.search.certified_candidates`) and each query ranks the
+canonical distances of its few candidates — the same values and the same
+ranking the per-query engine's finalization uses.
+
 Per-query :class:`~repro.index.search.SearchStats` are still produced; work
 counters (lower bounds, exact distances, visited/pruned leaves) are exact per
 query, while the timing fields hold each query's *share* of the shared
@@ -43,9 +50,10 @@ query shards searched one after another.
 
 Like the per-query engine, the batched engine can fuse a dynamic overlay
 (:class:`~repro.index.dynamic.DeltaView`, provided by a ``delta_source``
-callable): buffered delta series join every query's candidate set through the
-same multi-query lower-bound kernels (one extra shared refinement round right
-after the seed round), and tombstoned rows are masked to ``+inf`` so they are
+callable): on the tree path buffered delta series join every query's
+candidate set through the same multi-query lower-bound kernels (one extra
+shared refinement round right after the seed round), on the flat path as one
+more estimate block, and tombstoned rows are masked to ``+inf`` so they are
 never nominated.  Answers remain bit-identical to a scratch rebuild on the
 surviving rows.
 """
@@ -63,8 +71,12 @@ from repro.core.simd import batch_lower_bound_multi, batch_lower_bound_pairs
 from repro.index.search import (
     SearchResult,
     SearchStats,
+    canonical_squared,
+    certified_candidates,
     deadline_expired,
     finalize_result,
+    gather_values,
+    ranked_result,
     resolve_deadline,
     uses_flat_refinement,
     validated_count,
@@ -74,15 +86,12 @@ from repro.index.tree import TreeIndex
 from repro.parallel.pool import chunk_indices
 
 #: Cap on ``num_queries x num_series`` cells a single engine pass may hold.
-#: The flat path materializes a few dense matrices of that shape (bounds,
-#: visiting orders), so very large workloads over very large collections are
-#: transparently split into query shards that respect this budget instead of
-#: allocating O(Q x N) at once.
+#: Both paths materialize dense matrices of up to that shape (the tree path's
+#: ``query x leaf`` bounds and visiting orders, the certified flat path's
+#: per-block estimates), so very large workloads over very large collections
+#: are transparently split into query shards that respect this budget
+#: instead of allocating O(Q x N) at once.
 _MAX_SHARD_CELLS = 4_000_000
-
-#: Per-query candidate nomination budget per round on the flat path (matches
-#: the sequential flat search's block size).
-_FLAT_BLOCK_SIZE = 128
 
 
 def _round_window(base_window: int, num_queries: int, num_active: int,
@@ -161,9 +170,6 @@ class _QueryFrontier:
         self.k = k
         self.squared = np.full((num_queries, k), np.inf, dtype=np.float64)
         self.rows = np.full((num_queries, k), -1, dtype=np.int64)
-
-    def threshold(self, query: int) -> float:
-        return float(self.squared[query, -1])
 
     def thresholds(self, queries: np.ndarray) -> np.ndarray:
         return self.squared[queries, -1]
@@ -293,16 +299,13 @@ class BatchSearcher:
         num_queries = queries.shape[0]
         num_available = (self.index.num_series if delta is None
                          else delta.num_surviving)
-        summaries = self._summarization.transform_batch(queries)
         stats = [SearchStats(num_series=num_available) for _ in range(num_queries)]
-        frontier = _QueryFrontier(num_queries, k)
-
         if uses_flat_refinement(self.index):
-            self._flat_search(queries, summaries, frontier, stats, delta,
-                              deadline)
-        else:
-            self._tree_search(queries, summaries, frontier, stats, delta,
-                              deadline)
+            return self._certified_search(queries, k, stats, delta, deadline)
+
+        summaries = self._summarization.transform_batch(queries)
+        frontier = _QueryFrontier(num_queries, k)
+        self._tree_search(queries, summaries, frontier, stats, delta, deadline)
 
         values = self.index.dataset.values
         results = []
@@ -441,70 +444,44 @@ class BatchSearcher:
             stat.leaves_visited += int(visited[query_index])
             stat.series_lower_bounds += int(checked[query_index])
 
-    # ------------------------------------------------------------ flat path
+    # -------------------------------------------------- certified flat path
 
-    def _flat_search(self, queries: np.ndarray, summaries: np.ndarray,
-                     frontier: _QueryFrontier, stats: list[SearchStats],
-                     delta=None, deadline: "float | None" = None) -> None:
-        """Filter-and-refine over the flat directory, batched across queries.
+    def _certified_search(self, queries: np.ndarray, k: int,
+                          stats: list[SearchStats], delta=None,
+                          deadline: "float | None" = None
+                          ) -> list[SearchResult]:
+        """One GEMM estimate for the batch, canonical distances per query.
 
-        The per-series bounds of every query come from one multi-query kernel
-        call; rounds then work like the tree path with each directory entry
-        acting as a singleton leaf whose bound is already known, so no pair
-        kernel is needed inside the rounds.  A dynamic ``delta`` appends its
-        buffered series as extra directory columns (same multi-query kernel)
-        and masks tombstoned entries to ``+inf``.
+        :func:`~repro.index.search.certified_candidates` selects each query's
+        candidates; their :func:`~repro.index.search.canonical_squared`
+        distances ranked by :func:`~repro.index.search.ranked_result` are
+        what :func:`~repro.index.search.finalize_result` reports for the
+        per-query engine's winners, so the answers are bit-identical.
         """
-        index = self.index
         num_queries = queries.shape[0]
+        values = self.index.dataset.values
         start = time.perf_counter()
-        bounds, rows = index.all_series_lower_bounds(summaries)
-        if delta is not None:
-            if delta.base_alive is not None:
-                bounds[:, ~delta.base_alive[rows]] = np.inf
-            if delta.rows.size:
-                delta_bounds = batch_lower_bound_multi(summaries, delta.lower,
-                                                       delta.upper, self._weights)
-                delta_bounds[:, ~delta.alive] = np.inf
-                bounds = np.concatenate([bounds, delta_bounds], axis=1)
-                rows = np.concatenate([rows, delta.rows])
-        orders = np.argsort(bounds, axis=1, kind="stable")
-        sorted_bounds = np.take_along_axis(bounds, orders, axis=1)
-        num_entries = rows.shape[0]
-        traversal_share = (time.perf_counter() - start) / max(1, num_queries)
+        found = certified_candidates(queries, values, self.index.squared_norms,
+                                     k, delta=delta, deadline=deadline)
+        estimate_share = (time.perf_counter() - start) / num_queries
+        start = time.perf_counter()
+        squared = canonical_squared(queries[found.queries],
+                                    gather_values(values, found.rows, delta))
+        sizes = np.bincount(found.queries, minlength=num_queries)
+        results = []
+        for stat, stop, size in zip(stats, np.cumsum(sizes).tolist(),
+                                    sizes.tolist()):
+            stat.series_lower_bounds += found.estimated
+            stat.exact_distances += size
+            stat.timed_out = found.timed_out
+            stat.traversal_time = estimate_share
+            mine = slice(stop - size, stop)
+            results.append(ranked_result(found.rows[mine], squared[mine], stat,
+                                         k))
+        refine_share = (time.perf_counter() - start) / num_queries
         for stat in stats:
-            stat.traversal_time = traversal_share
-            stat.series_lower_bounds += num_entries
-
-        pointers = np.zeros(num_queries, dtype=np.int64)
-        active = np.ones(num_queries, dtype=bool)
-        first_round = True
-        while True:
-            active_queries = np.flatnonzero(active)
-            if active_queries.size == 0:
-                return
-            if not first_round and deadline_expired(deadline):
-                # The first round always runs (the flat path's counterpart of
-                # the tree path's seed-leaf refinement), so even a zero budget
-                # finalizes a real best-so-far instead of an empty answer.
-                for query_index in active_queries:
-                    stats[query_index].timed_out = True
-                return
-            first_round = False
-            round_start = time.perf_counter()
-            window = _round_window(_FLAT_BLOCK_SIZE, num_queries,
-                                   active_queries.size, num_entries)
-            pair_query, pair_column, cuts = _nominate_window(
-                orders, sorted_bounds, pointers, active_queries, num_entries,
-                window, frontier.thresholds(active_queries))
-            if pair_column.size:
-                self._refine_pairs(queries, pair_query, rows[pair_column],
-                                   frontier, stats, delta)
-            pointers[active_queries] += cuts
-            active[active_queries[cuts < window]] = False
-            round_share = (time.perf_counter() - round_start) / active_queries.size
-            for query_index in active_queries:
-                stats[query_index].refinement_time += round_share
+            stat.refinement_time = refine_share
+        return results
 
     # ------------------------------------------------------- shared refine
 

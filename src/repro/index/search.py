@@ -20,6 +20,12 @@ k-NN uses the same machinery with the BSF being the k-th best distance found
 so far.  The searcher times each phase once per query (approximate search,
 traversal, refinement) next to its work counters.
 
+On a tree shattered into near-singleton leaves (:func:`uses_flat_refinement`)
+a lower bound costs more than the distance, so both engines take the
+*certified* flat path instead (:func:`certified_candidates`): a BLAS estimate
+of every distance, a proven error margin, and canonical distances for the few
+rows the margin cannot rule out.
+
 Every query runs on one thread: in this Python reproduction the GIL turns the
 paper's MESSI-style parallel refinement (threads draining one query's leaf
 queue against a shared best-so-far) into a net loss, so the system's
@@ -34,13 +40,12 @@ Both engines optionally fuse a *dynamic overlay* into the refinement loop: a
 :class:`~repro.index.dynamic.DynamicIndex` layers a write path (buffered
 inserts, tombstone deletes) over the read-optimized tree and passes the
 engines a ``delta_source`` callable returning the current
-:class:`~repro.index.dynamic.DeltaView`.  Delta series are lower-bounded with
-the same :func:`~repro.core.simd.batch_lower_bound` kernel as leaf series (so
-pruning applies to them too) and refined as one extra pseudo-leaf right
-after the seed leaf; tombstoned rows have their lower bounds forced to
-``+inf``, so they are never refined and never enter the
-answer heap.  Answers over *tree ∪ delta − tombstones* stay bit-identical to
-a scratch rebuild on the surviving rows.
+:class:`~repro.index.dynamic.DeltaView`.  Delta series are one extra
+pseudo-leaf on the tree path (same lower-bound kernel, refined right after
+the seed leaf) and one extra row block on the flat path; tombstoned rows get
+``+inf`` bounds, so they never enter the answer heap.  Answers over
+*tree ∪ delta − tombstones* stay bit-identical to a scratch rebuild on the
+surviving rows.
 """
 
 from __future__ import annotations
@@ -51,6 +56,7 @@ import operator
 import threading
 import time
 from dataclasses import dataclass, fields
+from typing import NamedTuple
 
 import numpy as np
 
@@ -257,7 +263,8 @@ def canonical_squared(query: np.ndarray, values: np.ndarray) -> np.ndarray:
 
     One elementwise pass per row: a row's result is independent of which
     other rows sit in the matrix, which is what lets a shard, the sharded
-    gather and an unsharded index report bit-identical distances.
+    gather and an unsharded index report bit-identical distances.  ``query``
+    is one series, or one per row of ``values``.
     """
     difference = values - query
     return np.einsum("ij,ij->i", difference, difference)
@@ -296,8 +303,15 @@ def finalize_result(query: np.ndarray, values: np.ndarray, rows: np.ndarray,
     scratch rebuild on the union.
     """
     rows = np.sort(np.asarray(rows, dtype=np.int64))
-    winners = values[rows] if delta is None else delta.gather(values, rows)
-    return ranked_result(rows, canonical_squared(query, winners), stats)
+    return ranked_result(
+        rows, canonical_squared(query, gather_values(values, rows, delta)),
+        stats)
+
+
+def gather_values(values: np.ndarray, rows: np.ndarray, delta=None
+                  ) -> np.ndarray:
+    """Series values of global ``rows``; ``delta`` resolves buffered rows."""
+    return values[rows] if delta is None else delta.gather(values, rows)
 
 
 class BestSoFar:
@@ -429,25 +443,173 @@ def _wire_value(spec, value):
 #: bit-identity contract).
 EARLY_ABANDON_MIN_LENGTH = 1024
 
-#: Average leaf size below which both engines filter-and-refine over the flat
-#: per-series directory instead of walking leaves (see
-#: :func:`uses_flat_refinement`).
+#: Average leaf size below which both engines take the certified flat path
+#: instead of walking leaves (see :func:`uses_flat_refinement`).
 FLAT_REFINEMENT_THRESHOLD = 4.0
+
+#: The certified flat path's (query, row) pairs per estimate block (blocks
+#: that stay in cache; the deadline is checked between them), sampled rows
+#: per wanted neighbour for its first limit, and its margin's ``c``
+#: (:func:`certified_candidates` proves ``c >= 8``).
+_ESTIMATE_BLOCK_CELLS = 2 ** 17
+_SAMPLE_PER_COUNT = 64
+_MARGIN_FACTOR = 8
 
 
 def uses_flat_refinement(index: TreeIndex) -> bool:
-    """Whether both engines search ``index`` over its flat series directory.
+    """Whether both engines search ``index`` by the certified flat path.
 
-    When the average leaf size falls below :data:`FLAT_REFINEMENT_THRESHOLD`
-    the tree has degenerated into (near-)singleton leaves — a scale artefact
-    of small collections where the symbolic words of almost every series
-    differ in some top bit — and provides no grouping at all; the engines
-    then filter and refine over the flat per-series directory instead of
-    walking leaves one by one.  Both paths compute the same lower bounds and
+    Below :data:`FLAT_REFINEMENT_THRESHOLD` series per leaf the tree has
+    shattered into (near-)singleton leaves — a scale artefact of small
+    collections — and groups nothing, so the engines estimate every
+    distance with BLAS (:func:`certified_candidates`) instead.  Both paths
     return identical exact answers.  The constant is read on every call, so
     patching it forces one path for both engines.
     """
     return index.average_leaf_size < FLAT_REFINEMENT_THRESHOLD
+
+
+class CertifiedCandidates(NamedTuple):
+    """What :func:`certified_candidates` found for a query block."""
+
+    queries: np.ndarray  # query (block row) of each candidate, ascending
+    rows: np.ndarray     # global row of each candidate, ascending per query
+    estimated: int       # rows estimated per query, tombstones included
+    timed_out: bool      # the deadline cut the estimate short
+    delta_time: float    # seconds spent on the pending delta's rows
+
+
+def certified_bounds(queries: np.ndarray, values: np.ndarray,
+                     norms: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``fl(est − δ)`` and ``fl(est + δ)`` of every (query, row) pair.
+
+    One GEMV (one query) or GEMM over the rows' squared ``norms``;
+    :func:`certified_candidates` proves ``lower <= canonical <= upper``.
+    """
+    sums = np.einsum("ij,ij->i", queries, queries)[:, None] + norms
+    # Scaling by -2 is exact, so this is -2·fl(qᵀx) in any summation order.
+    upper = (-2.0 * queries) @ values.T
+    upper += sums
+    sums *= _MARGIN_FACTOR * (queries.shape[1] + 2) * 2.0 ** -53
+    lower = upper - sums
+    upper += sums
+    return lower, upper
+
+
+def certified_candidates(queries: np.ndarray, values: np.ndarray,
+                         norms: np.ndarray, count: int, delta=None,
+                         deadline: "float | None" = None,
+                         threshold=None) -> CertifiedCandidates:
+    """Rows that may be among the ``count`` nearest of each query row.
+
+    :func:`certified_bounds` estimates ``est = fl(fl(‖q‖² + ‖x‖²) −
+    2·fl(qᵀx))`` for every (query ``q``, row ``x``) pair, with margin ``δ =
+    fl(c·(n+2)·u · fl(‖q‖² + ‖x‖²))``, ``c`` = :data:`_MARGIN_FACTOR`, ``n``
+    the series length and ``u = 2⁻⁵³``.  With ``U`` the ``count``-th
+    smallest ``fl(est + δ)`` of a query, its candidates are the live rows
+    with ``fl(est − δ) <= min(U, threshold())``; the caller computes
+    :func:`canonical_squared` on them only.
+
+    *Proof.*  Let ``S = ‖q‖² + ‖x‖²``, ``D = ‖q − x‖²`` (exact), ``r`` the
+    :func:`canonical_squared` value, ``γⱼ = ju/(1 − ju)``, and assume
+    ``(n+2)u <= 0.01`` and no overflow or underflow (z-normalized series
+    have squared norms 0 or ``n``).  (1) A dot product computed in any
+    order, with or without FMA, is off by at most ``γₙ |a|ᵀ|b|`` (Higham,
+    *Accuracy and Stability of Numerical Algorithms*, §3.1), so the norms
+    are off by ``γₙ‖q‖²`` and ``γₙ‖x‖²`` and ``qᵀx`` by ``γₙ S/2``; the
+    doubling is exact, so before the two outer roundings the estimate is
+    off by ``2γₙ S``.  (2) Each operand is at most ``(1+γₙ)S`` in size, so
+    the two roundings add at most ``3u(1+u)(1+γₙ)S <= 3.04uS``.  (3) The
+    canonical sum has nonnegative terms, each carrying the rounding of a
+    difference, a square and ``n − 1`` additions, so ``|r − D| <=
+    γₙ₊₂ D <= 2γₙ₊₂ S`` (``D <= 2S``).  Together ``|est − r| <=
+    (2γₙ + 2γₙ₊₂ + 3.04u) S <= 4.05(n+2)uS``.  (4) ``c·(n+2)u`` is an
+    integer times a power of two, so ``δ >= c(n+2)uS(1−u)²(1−γₙ) >=
+    7.9(n+2)uS`` at ``c = 8``, which leaves at least ``3.85(n+2)uS >=
+    11.5uS`` of slack; rounding ``est ± δ`` (``|est ± δ| <= 2.2S``) costs
+    at most ``2.2uS`` of it.  Hence ``fl(est − δ) <= r <= fl(est + δ)`` for
+    every row.  ``c = 4`` covers only the first-order terms.
+
+    *Selection.*  ``count`` rows have ``r <= fl(est + δ) <= U``, so the
+    ``count``-th smallest canonical value ``r₍ₖ₎`` is at most ``U``; a row
+    tied at or below ``r₍ₖ₎`` (and at or below the threshold, which by
+    the heap's contract bounds every wanted row) has ``fl(est − δ) <= r <=
+    min(U, threshold)``.  So ranking the candidates by (``r``, row) picks
+    exactly the canonical top ``count``, ties included.  ``U`` is found
+    without a selection over every row: the ``count``-th smallest upper end
+    ``T`` of a strided sample of the first block is at least ``U``, so the
+    ``count`` rows that define ``U`` all have ``fl(est − δ) <= T``, and
+    ``U`` is the ``count``-th smallest upper end among those survivors.
+
+    Rows go in blocks of :data:`_ESTIMATE_BLOCK_CELLS` pairs, the pending
+    ``delta``'s rows last; tombstoned rows get ``est = +inf``.  The deadline
+    is checked before every block but the first and after the last; on
+    expiry the estimated blocks' candidates come back with ``timed_out``
+    set, so a timed-out answer holds the best of at least the first block,
+    every distance exact.  ``threshold`` (a live heap's, read after the
+    estimate) is a zero-argument callable or ``None``.
+    """
+    num_queries = queries.shape[0]
+    survivors = []   # per block: (query, row, lower, upper) below the limits
+    limits = None
+
+    def estimate(block, block_norms, block_rows, alive):
+        nonlocal limits
+        lower, upper = certified_bounds(queries, block, block_norms)
+        if alive is not None:
+            lower[:, ~alive] = np.inf
+            upper[:, ~alive] = np.inf
+        if limits is None:
+            sample = upper[:, ::max(1, upper.shape[1] // (_SAMPLE_PER_COUNT
+                                                          * count))]
+            limits = np.full(num_queries, np.inf)
+            if count <= sample.shape[1]:
+                limits = np.partition(sample, count - 1, axis=1)[:, count - 1]
+            # +inf rows (tombstones) never qualify, even without a limit.
+            limits = np.minimum(limits, np.finfo(np.float64).max)
+        # 1-D flatnonzero: far cheaper than a 2-D nonzero on few hits.
+        query_of, column_of = np.divmod(
+            np.flatnonzero(lower <= limits[:, None]), lower.shape[1])
+        survivors.append((query_of, block_rows[column_of],
+                          lower[query_of, column_of],
+                          upper[query_of, column_of]))
+
+    num_base = values.shape[0]
+    base_alive = None if delta is None else delta.base_alive
+    block_rows = max(1, _ESTIMATE_BLOCK_CELLS // num_queries)
+    estimated = 0
+    for start in range(0, num_base, block_rows):
+        if start and deadline_expired(deadline):
+            break
+        stop = min(start + block_rows, num_base)
+        estimate(values[start:stop], norms[start:stop],
+                 np.arange(start, stop),
+                 None if base_alive is None else base_alive[start:stop])
+        estimated = stop
+    delta_time = 0.0
+    if delta is not None and delta.rows.size and not deadline_expired(deadline):
+        delta_start = time.perf_counter()
+        estimate(delta.values,
+                 np.einsum("ij,ij->i", delta.values, delta.values),
+                 delta.rows, delta.alive)
+        estimated += delta.rows.shape[0]
+        delta_time = time.perf_counter() - delta_start
+    # An expired deadline stays expired, so this also reports a cut above.
+    timed_out = deadline_expired(deadline)
+
+    query_of, rows, lower, upper = (np.concatenate(parts)
+                                    for parts in zip(*survivors))
+    sizes = np.bincount(query_of, minlength=num_queries)
+    ranked = upper[np.lexsort((upper, query_of))]
+    limits = np.full(num_queries, np.inf)
+    filled = sizes >= count
+    limits[filled] = ranked[(np.cumsum(sizes) - sizes + count - 1)[filled]]
+    if threshold is not None:
+        limits = np.minimum(limits, threshold())
+    keep = np.flatnonzero(lower <= limits[query_of])
+    keep = keep[np.argsort(query_of[keep], kind="stable")]
+    return CertifiedCandidates(query_of[keep], rows[keep], estimated,
+                               timed_out, delta_time)
 
 
 class ExactSearcher:
@@ -463,8 +625,8 @@ class ExactSearcher:
         :class:`~repro.index.dynamic.DeltaView` of a dynamic index (or
         ``None`` when there are no pending writes).  When set, every query
         answers over *tree ∪ delta − tombstones*: the delta is refined as an
-        extra pseudo-leaf and tombstoned rows are masked out of every
-        refinement step.
+        extra pseudo-leaf (estimated as one more row block on the flat path)
+        and tombstoned rows are masked out of every refinement step.
     """
 
     def __init__(self, index: TreeIndex, delta_source=None) -> None:
@@ -540,42 +702,20 @@ class ExactSearcher:
             )
         query = znormalize(
             validated_query(query, self.index.dataset.series_length))
-
-        self._refresh_summarization_cache()
-        summarization = self.index.summarization
-        query_summary = summarization.transform(query)
-        query_word = self._bins.symbols(query_summary)
+        flat = uses_flat_refinement(self.index)
+        if not flat:
+            self._refresh_summarization_cache()
+            query_summary = self.index.summarization.transform(query)
+            query_word = self._bins.symbols(query_summary)
 
         stats = SearchStats(num_series=available)
         heap = shared_best if shared_best is not None else BestSoFar(k)
         if trace is not None:
-            # Validation, z-normalization and the SFA transform of the query.
+            # Validation, z-normalization and (tree path) the SFA transform.
             trace.add_phase("summarize", time.perf_counter() - setup_start)
 
-        if uses_flat_refinement(self.index):
-            # Degenerate tree (typical at reproduction scale when the selected
-            # summary components carry little signal and the root fan-out
-            # shatters the data into near-singleton leaves): skip the per-leaf
-            # machinery and filter-and-refine over the flat series directory.
-            flat_start = time.perf_counter() if trace is not None else 0.0
-            delta_time = self._flat_search(query, query_summary, heap, stats,
-                                           delta=delta, deadline=deadline)
-            if trace is not None:
-                flat_wall = time.perf_counter() - flat_start
-                # The flat path computes all per-series bounds in one call
-                # (recorded as traversal; the pending delta's share is its
-                # own phase) and refines the survivors; split the phase
-                # accordingly so the taxonomy matches the tree path.
-                directory_time = min(stats.traversal_time, flat_wall)
-                trace.add_phase(
-                    "traversal", directory_time - delta_time,
-                    series_lower_bounds=stats.series_lower_bounds)
-                if delta is not None:
-                    trace.add_phase("delta", delta_time,
-                                    delta_rows=int(delta.rows.size))
-                trace.add_phase(
-                    "refinement", flat_wall - directory_time,
-                    exact_distances=stats.exact_distances)
+        if flat:
+            self._certified_search(query, heap, stats, delta, deadline, trace)
         else:
             start = time.perf_counter()
             seed_leaf = self.index.approximate_leaf(query_word, query_summary)
@@ -658,63 +798,42 @@ class ExactSearcher:
         return self._batch_searcher.knn_batch(queries, k=k,
                                               timeout_s=timeout_s)
 
-    # ------------------------------------------------------ flat refinement
+    # -------------------------------------------------- certified flat path
 
-    def _flat_directory(self, query_summary: np.ndarray, delta
-                        ) -> tuple[np.ndarray, np.ndarray, float]:
-        """Per-series lower bounds and global rows of the flat directory.
+    def _certified_search(self, query: np.ndarray, heap, stats: SearchStats,
+                          delta, deadline: "float | None", trace) -> None:
+        """Estimate every row, then offer the candidates' canonical distances.
 
-        A dynamic ``delta`` appends its buffered series as extra directory
-        entries (same kernel, global row ids) and masks tombstoned rows —
-        base and delta alike — to ``+inf`` so they are never refined.  The
-        third value is the seconds spent on the pending delta's entries
-        (what a trace reports as the ``delta`` phase).
-        """
-        bounds, rows = self.index.all_series_lower_bounds(query_summary)
-        delta_time = 0.0
-        if delta is not None:
-            if delta.base_alive is not None:
-                # Fresh kernel output per call, so in-place masking is safe.
-                bounds[~delta.base_alive[rows]] = np.inf
-            if delta.rows.size:
-                start = time.perf_counter()
-                delta_bounds = batch_lower_bound(query_summary, delta.lower,
-                                                 delta.upper, self._weights)
-                delta_bounds[~delta.alive] = np.inf
-                bounds = np.concatenate([bounds, delta_bounds])
-                rows = np.concatenate([rows, delta.rows])
-                delta_time = time.perf_counter() - start
-        return bounds, rows, delta_time
-
-    def _flat_search(self, query: np.ndarray, query_summary: np.ndarray, heap,
-                     stats: SearchStats, delta=None, block_size: int = 128,
-                     deadline: "float | None" = None) -> float:
-        """Filter-and-refine over the flat per-series directory.
-
-        The per-series lower bounds are computed in one vectorized call and
-        the candidates refined through the shared blocked best-so-far loop
-        (:meth:`_refine_candidates`) — the same GEMINI logic as the leaf-wise
-        path, without per-leaf overhead.  Returns :meth:`_flat_directory`'s
-        delta seconds.
+        Candidates are selected against the heap's published threshold
+        (floor and live parent included) and offered in one block, so a
+        ``parent`` receives them under its row map.  Every estimated row
+        counts as a lower bound (``fl(est − δ)`` is one).
         """
         start = time.perf_counter()
-        bounds, rows, delta_time = self._flat_directory(query_summary, delta)
-        stats.series_lower_bounds += bounds.shape[0]
+        found = certified_candidates(
+            query[None, :], self.index.dataset.values,
+            self.index.squared_norms, heap.k, delta=delta, deadline=deadline,
+            threshold=lambda: heap.threshold)
+        rows = found.rows
+        stats.series_lower_bounds += found.estimated
+        stats.timed_out = found.timed_out
         stats.traversal_time = time.perf_counter() - start
 
         start = time.perf_counter()
-        self._refine_candidates(query, rows, bounds,
-                                self._flat_gather(rows, delta), heap, stats,
-                                block_size=block_size, deadline=deadline)
-        stats.refinement_time += time.perf_counter() - start
-        return delta_time
-
-    def _flat_gather(self, rows: np.ndarray, delta):
-        """Value gather over flat-directory candidate positions."""
-        values = self.index.dataset.values
-        if delta is None:
-            return lambda block: values[rows[block]]
-        return lambda block: delta.gather(values, rows[block])
+        if rows.size:
+            heap.offer_block(canonical_squared(
+                query, gather_values(self.index.dataset.values, rows, delta)),
+                rows)
+        stats.exact_distances += rows.size
+        stats.refinement_time = time.perf_counter() - start
+        if trace is not None:
+            trace.add_phase("traversal", stats.traversal_time - found.delta_time,
+                            series_lower_bounds=stats.series_lower_bounds)
+            if delta is not None:
+                trace.add_phase("delta", found.delta_time,
+                                delta_rows=int(delta.rows.size))
+            trace.add_phase("refinement", stats.refinement_time,
+                            exact_distances=stats.exact_distances)
 
     # -------------------------------------------------------- leaf queueing
 

@@ -125,6 +125,7 @@ class TreeIndex:
         self._series_lower: np.ndarray | None = None
         self._series_upper: np.ndarray | None = None
         self._series_rows: np.ndarray | None = None
+        self._squared_norms: np.ndarray | None = None
 
     # ------------------------------------------------------------ building
 
@@ -143,6 +144,7 @@ class TreeIndex:
         if not isinstance(dataset, Dataset):
             dataset = Dataset(np.asarray(dataset, dtype=np.float64))
         self.dataset = dataset
+        self._squared_norms = None
         timings = BuildTimings()
         wall_start = time.perf_counter()
 
@@ -187,8 +189,8 @@ class TreeIndex:
         """Stack every leaf's node-level intervals for batched query pruning.
 
         The directory also keeps a flat, per-series view (intervals and dataset
-        row of every indexed series, concatenated across leaves) used by the
-        searcher when the tree degenerates into very small leaves.
+        row of every indexed series, concatenated across leaves) that the
+        batched engine gathers its (query, leaf) work sets from.
         """
         self.leaf_nodes = self.leaves()
         self._leaf_positions = {id(leaf): position
@@ -242,6 +244,15 @@ class TreeIndex:
         if not self.leaf_nodes:
             return 0.0
         return self.num_series / len(self.leaf_nodes)
+
+    @property
+    def squared_norms(self) -> np.ndarray:
+        """``‖x‖²`` of every indexed series for the certified flat path,
+        computed on first use (never persisted)."""
+        if self._squared_norms is None:
+            values = self.dataset.values
+            self._squared_norms = np.einsum("ij,ij->i", values, values)
+        return self._squared_norms
 
     def all_series_lower_bounds(self, query_summary: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Squared lower bounds between query summaries and every indexed series.

@@ -6,7 +6,7 @@ import pytest
 from repro.baselines.flatl2 import FlatL2Index
 from repro.baselines.serial_scan import SerialScan
 from repro.baselines.ucr_suite import UcrSuiteScan
-from repro.core.errors import SearchError
+from repro.core.errors import SearchError, ValidationError
 
 
 class TestSerialScan:
@@ -129,3 +129,47 @@ class TestBaselineAgreement:
             _, expected = serial.nearest_neighbor(query)
             assert ucr.nearest_neighbor(query).distances[0] == pytest.approx(expected, abs=1e-8)
             assert flat.nearest_neighbor(query)[1] == pytest.approx(expected, abs=1e-8)
+
+
+BASELINES = {
+    "SerialScan": SerialScan,
+    "UcrSuiteScan": UcrSuiteScan,
+    "FlatL2Index": FlatL2Index,
+}
+
+
+class TestBaselineValidation:
+    """Every baseline checks its query and ``k`` like the index engines do:
+    typed errors at the boundary, never a bare numpy error or an answer to a
+    garbage query."""
+
+    @pytest.fixture(params=sorted(BASELINES))
+    def baseline(self, request, walk_dataset):
+        return BASELINES[request.param]().build(walk_dataset)
+
+    def test_rejects_all_nan_query(self, baseline, walk_dataset):
+        with pytest.raises(ValidationError):
+            baseline.knn(np.full(walk_dataset.series_length, np.nan), k=1)
+
+    def test_rejects_missing_query(self, baseline):
+        with pytest.raises(ValidationError):
+            baseline.knn(None, k=1)
+
+    def test_rejects_wrong_length_query(self, baseline, walk_dataset):
+        with pytest.raises(ValidationError):
+            baseline.knn(np.zeros(walk_dataset.series_length + 1), k=1)
+
+    def test_rejects_non_integral_k(self, baseline, walk_dataset):
+        with pytest.raises(ValidationError):
+            baseline.knn(walk_dataset[0], k="3")
+
+    def test_rejects_k_below_one(self, baseline, walk_dataset):
+        with pytest.raises(SearchError):
+            baseline.knn(walk_dataset[0], k=0)
+
+    def test_flat_l2_batch_rejects_nan_rows(self, walk_dataset):
+        flat = FlatL2Index().build(walk_dataset)
+        queries = np.zeros((2, walk_dataset.series_length))
+        queries[1, 3] = np.nan
+        with pytest.raises(ValidationError):
+            flat.search(queries, k=1)
