@@ -1,10 +1,10 @@
 """Serving throughput — micro-batched vs naive per-request ``/knn``.
 
 Not a paper table: this benchmark guards the serving layer's reason to exist.
-The batched engine is several times faster per query than per-query ``knn``,
-but a server answers each client on its own thread — the advantage survives
-the HTTP boundary only if concurrent requests are coalesced back into batches
-(:class:`repro.serve.batching.KnnBatcher`).  The same request storm is fired
+On a flat-path index such as this SIFT1b one, a batch shares one GEMM
+estimate, but a server answers each client on its own thread — the sharing
+survives the HTTP boundary only if concurrent requests are coalesced back
+into batches (:class:`repro.serve.batching.KnnBatcher`).  The same request storm is fired
 at two servers over real sockets:
 
 * **batched** — ``ServeConfig(batching=True)``: requests coalesce into shared

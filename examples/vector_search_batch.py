@@ -7,9 +7,9 @@ contrasts three ways of answering the same exact 10-NN workload:
 
 * the FlatL2 brute-force baseline (mini-batched GEMM over everything),
 * SOFA answering queries one at a time (the exploratory-analysis scenario),
-* SOFA's batched multi-query engine (``knn_batch``), which vectorizes the
-  lower-bound kernels and distance GEMMs across the whole workload and
-  returns results identical to the sequential loop.
+* SOFA's batched entry point (``knn_batch``), which on this shattered
+  vector tree takes the certified flat path — one GEMM estimate for the
+  whole workload — and returns results identical to the sequential loop.
 
 Run with::
 
@@ -60,7 +60,7 @@ def main() -> None:
           f"{1000 * sequential_time / queries.num_series:.2f} ms/query, "
           f"mean pruning {100 * np.mean(pruned_fraction):.1f}% of the collection")
 
-    # SOFA answering the whole workload with the batched multi-query engine.
+    # SOFA answering the whole workload in one batched call.
     start = time.perf_counter()
     batched_results = sofa.knn_batch(queries.values, k=10)
     batched_time = time.perf_counter() - start

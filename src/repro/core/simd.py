@@ -20,12 +20,10 @@ Python cannot issue vector instructions directly, so this module reproduces the
   at once, which is the production path used inside index leaves.
 * :func:`batch_lower_bound_multi` evaluates *many* queries against *many*
   candidate words in one broadcasted call — the multi-query analogue of the
-  paper's AVX lane packing, used by the batched search engine to amortize
-  kernel launches across a whole query workload.
+  paper's AVX lane packing, behind the tree's ``(Q, l)`` directory lookups.
 * :func:`batch_lower_bound_pairs` evaluates a ragged set of row-aligned
-  (query, candidate) pairs in one call, which is how the batched engine
-  checks exactly the pairs the per-query engine would have checked without
-  cross-product work amplification.
+  (query, candidate) pairs in one call, without cross-product work
+  amplification.
 
 All of these operate on the generic "mindist" formulation of Equation 2: per
 dimension the distance is zero when the query value falls inside the

@@ -1,26 +1,24 @@
-"""Tree indexes and search engines: MESSI (iSAX), SOFA (SFA) and both the
-per-query and the batched multi-query exact searchers.
+"""Tree indexes and search engines: MESSI (iSAX), SOFA (SFA) and the exact
+searchers over them.
 
-Two engines answer exact k-NN queries over a built
+Two entry points answer exact k-NN queries over a built
 :class:`~repro.index.tree.TreeIndex`:
 
 * :class:`~repro.index.search.ExactSearcher` — one query at a time, the
   paper's exploratory-analysis scenario (``knn`` / ``nearest_neighbor``),
-  on one thread.
-* :class:`~repro.index.batch_search.BatchSearcher` — whole query workloads at
-  once (``knn_batch``).  It vectorizes the lower-bound kernels and distance
-  GEMMs across queries as well as candidates, so throughput-oriented
-  workloads (benchmark sweeps, production query batches) run several times
-  faster than looping over ``knn`` while returning bit-identical results.
+  on one thread.  It holds the one GEMINI tree traversal.
+* :class:`~repro.index.batch_search.BatchSearcher` — whole query workloads in
+  one call (``knn_batch``).  On the certified flat path the batch shares one
+  GEMM estimate, which is where batching pays; on the tree path it runs
+  ``ExactSearcher``'s engine per query, so the answers and work counters are
+  ``knn``'s and a batch costs what the loop costs.
   ``ExactSearcher.knn_batch`` and the index wrappers delegate to it.
 
-Prefer the batched engine whenever queries arrive in groups of a few dozen or
-more; prefer the per-query engine for single interactive lookups.  Neither
-engine threads a query, a batch or a tree build: in this Python reproduction
-the GIL makes that a net loss, so multi-core parallelism comes from
-:mod:`repro.cluster`'s shard processes.
+Nothing threads a query, a batch or a tree build: in this Python
+reproduction the GIL makes that a net loss, so multi-core parallelism comes
+from :mod:`repro.cluster`'s shard processes.
 
-Both engines can serve a *mutating* collection through
+Both entry points can serve a *mutating* collection through
 :class:`~repro.index.dynamic.DynamicIndex`: buffered inserts and tombstone
 deletes fused into the refinement loops, periodic compaction through the
 build pipeline, and mid-ingest snapshots (format v2).

@@ -120,11 +120,11 @@ class TreeFacade:
 
     def knn_batch(self, queries: np.ndarray, k: int = 1,
                   timeout_s: "float | None" = None) -> "list[SearchResult]":
-        """Exact k-NN for a batch of queries, answered by the batched engine.
+        """Exact k-NN for a batch of queries, answered in one call.
 
         See :class:`~repro.index.batch_search.BatchSearcher`.  ``timeout_s``
-        bounds the whole batch (still-active queries finalize their
-        best-so-far with ``stats.timed_out=True``).
+        bounds the whole batch (queries still searching at expiry finalize
+        their best-so-far with ``stats.timed_out=True``).
         """
         return self._require_built().knn_batch(queries, k=k,
                                                timeout_s=timeout_s)

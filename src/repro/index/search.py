@@ -31,10 +31,11 @@ paper's MESSI-style parallel refinement (threads draining one query's leaf
 queue against a shared best-so-far) into a net loss, so the system's
 parallelism is :mod:`repro.cluster`'s shard processes instead.
 
-Whole query workloads should go through :meth:`ExactSearcher.knn_batch`,
-which delegates to the batched multi-query engine
-(:class:`~repro.index.batch_search.BatchSearcher`): same exact answers,
-several times the throughput once a few dozen queries are batched together.
+:meth:`ExactSearcher.knn_batch` answers a query workload in one call
+(:class:`~repro.index.batch_search.BatchSearcher`).  On the flat path the
+whole batch shares one GEMM estimate; on the tree path each query runs this
+module's engine, so a batch costs what a loop of :meth:`ExactSearcher.knn`
+costs and reports the same answers and work counters.
 
 Both engines optionally fuse a *dynamic overlay* into the refinement loop: a
 :class:`~repro.index.dynamic.DynamicIndex` layers a write path (buffered
@@ -88,8 +89,8 @@ class SearchStats:
     exact_distances: int = 0
     approximate_time: float = 0.0
     traversal_time: float = 0.0
-    #: The batched engine charges each query an equal share of every
-    #: refinement round it took part in.
+    #: On the flat path the batched engine charges each query an equal share
+    #: of the batch's canonical-distance pass.
     refinement_time: float = 0.0
     #: True when a ``timeout_s`` budget expired before refinement finished:
     #: the answer is the best-so-far at expiry (every reported distance is a
@@ -195,21 +196,31 @@ def validated_queries(queries: np.ndarray, expected_length: int) -> np.ndarray:
     return queries
 
 
+def _validated_integer(value, what: str) -> int:
+    """``operator.index(value)``, or a typed error for non-integral values.
+
+    Booleans are refused too: ``True`` is an ``int`` to Python, but a ``k``
+    or a row id of ``true`` is a caller's mistake, not a 1.
+    """
+    if not isinstance(value, bool):
+        try:
+            return operator.index(value)
+        except TypeError:
+            pass
+    raise ValidationError(
+        f"{what}, got {value!r} of type {type(value).__name__}")
+
+
 def validated_count(value) -> int:
     """Validate the neighbour count ``k`` at the API boundary.
 
     Raises a typed :class:`~repro.core.errors.ValidationError` on
-    non-integral values (``"3"``, ``2.5``) — never a bare ``TypeError`` from
-    a downstream comparison — and a :class:`~repro.core.errors.SearchError`
-    on counts below one, the established contract of the search entry points.
+    non-integral values (``"3"``, ``2.5``, ``True``) — never a bare
+    ``TypeError`` from a downstream comparison — and a
+    :class:`~repro.core.errors.SearchError` on counts below one, the
+    established contract of the search entry points.
     """
-    try:
-        value = operator.index(value)
-    except TypeError:
-        raise ValidationError(
-            f"k must be an integer, got {value!r} of type "
-            f"{type(value).__name__}"
-        ) from None
+    value = _validated_integer(value, "k must be an integer")
     if value < 1:
         raise SearchError(f"k must be >= 1, got {value}")
     return value
@@ -219,16 +230,11 @@ def validated_row(value) -> int:
     """Validate a global row id at the write boundary (``delete``).
 
     Raises a typed :class:`~repro.core.errors.ValidationError` on
-    non-integral values (``"3"``, ``2.5``) instead of a bare ``TypeError``;
-    range checks stay with the index that owns the row.
+    non-integral values (``"3"``, ``2.5``, ``True``) instead of a bare
+    ``TypeError`` or a silent row 1; range checks stay with the index that
+    owns the row.
     """
-    try:
-        return operator.index(value)
-    except TypeError:
-        raise ValidationError(
-            f"row must be an integer id, got {value!r} of type "
-            f"{type(value).__name__}"
-        ) from None
+    return _validated_integer(value, "row must be an integer id")
 
 
 def resolve_deadline(timeout_s: "float | None") -> "float | None":
@@ -320,9 +326,9 @@ class BestSoFar:
     Keeps the k smallest offers under the total order (distance², row): on
     tied distances the smaller row wins.  A total order makes the retained
     set independent of the order candidates were offered in, which is what
-    lets the batched engine (whose refinement schedule differs) and the
-    sharded scatter (whose shard threads offer into one shared parent heap
-    in an order that depends on thread timing) select the same k answers.
+    lets the sharded scatter (whose shard threads offer into one shared
+    parent heap in an order that depends on thread timing) select the same
+    k answers as an unsharded search.
 
     Offers serialize on a mutex; the pruning threshold is published as a
     plain attribute that shard threads read lock-free (an atomic attribute
@@ -785,10 +791,9 @@ class ExactSearcher:
                   timeout_s: "float | None" = None) -> list[SearchResult]:
         """Exact k-NN of a batch of queries (one per row), answered together.
 
-        Delegates to the :class:`~repro.index.batch_search.BatchSearcher`,
-        which vectorizes lower-bound and distance kernels across the whole
-        workload instead of looping over :meth:`knn`; the answers are the same
-        exact k-NN sets either way.
+        Delegates to the :class:`~repro.index.batch_search.BatchSearcher`:
+        one shared GEMM estimate on the flat path, :meth:`knn`'s engine per
+        query on the tree path; the answers are :meth:`knn`'s either way.
         """
         from repro.index.batch_search import BatchSearcher
 

@@ -189,8 +189,8 @@ class TreeIndex:
         """Stack every leaf's node-level intervals for batched query pruning.
 
         The directory also keeps a flat, per-series view (intervals and dataset
-        row of every indexed series, concatenated across leaves) that the
-        batched engine gathers its (query, leaf) work sets from.
+        row of every indexed series, concatenated across leaves) that
+        snapshots persist and whole-collection bound lookups read.
         """
         self.leaf_nodes = self.leaves()
         self._leaf_positions = {id(leaf): position
@@ -561,7 +561,9 @@ class TreeIndex:
         One vectorized kernel call over the leaf directory — the query-time
         analogue of MESSI's subtree traversal.  A 1-D summary yields
         one bound per leaf; a ``(Q, l)`` summary matrix yields the full
-        ``(Q, num_leaves)`` bound matrix of the batched engine.
+        ``(Q, num_leaves)`` bound matrix from one multi-query kernel call.
+        No engine asks for that form (batched tree-path queries run the
+        per-query engine); the kernel sweeps test it.
         """
         if self._leaf_lower is None:
             raise IndexError_("index has not been built yet")
@@ -590,14 +592,14 @@ class TreeIndex:
 
     def series_directory(self) -> tuple[np.ndarray, np.ndarray, np.ndarray,
                                         np.ndarray, np.ndarray]:
-        """The flat per-series directory backing batched refinement.
+        """The flat per-series directory of the tree.
 
         Returns ``(lower, upper, rows, leaf_offsets, leaf_sizes)``: the
         per-series quantization intervals and dataset rows of every indexed
         series concatenated in leaf order, plus each leaf's starting offset
-        and size in those arrays.  The batched engine gathers arbitrary
-        (query, leaf) work sets from these arrays instead of re-stacking leaf
-        contents per refinement call.
+        and size in those arrays.  Snapshots persist it, and arbitrary
+        (query, leaf) work sets can be gathered from it without re-stacking
+        leaf contents.
         """
         if self._series_lower is None:
             raise IndexError_("index has not been built yet")
@@ -610,8 +612,7 @@ class TreeIndex:
 
         Descends from the root child matching the query's 1-bit prefix; when no
         such child exists the leaf with the smallest lower bound (from the leaf
-        directory) is returned instead.  This is step 1 of exact search and the
-        seed step of the batched engine.
+        directory) is returned instead.  This is step 1 of exact search.
         """
         bits = self.summarization.bits
         key = root_child_word(query_word >> (bits - 1), None)

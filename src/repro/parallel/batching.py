@@ -1,10 +1,11 @@
 """Micro-batching request queue: coalesce concurrent calls into shared work.
 
 The batched search engine (:class:`~repro.index.batch_search.BatchSearcher`)
-is 4-6x faster *per query* than looping ``knn`` — but only when queries
-actually arrive together.  A server handles each client on its own thread, so
-without coalescing every request would pay the full per-query engine cost and
-the batching win would evaporate at the serving boundary.
+shares one GEMM estimate across a batch on the certified flat path — but only
+when queries actually arrive together (on the tree path it loops the
+per-query engine, so coalescing gains nothing there).  A server handles each
+client on its own thread, so without coalescing every request would pay the
+full per-query engine cost.
 
 :class:`MicroBatchQueue` converts that concurrency back into batches: calling
 threads :meth:`~MicroBatchQueue.submit` one item each and block; a single

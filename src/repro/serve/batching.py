@@ -1,8 +1,9 @@
 """Request coalescing for ``/knn``: many client threads, one batched engine.
 
 The HTTP layer answers every client on its own thread; without coalescing each
-request would pay the full per-query ``knn`` cost and the 4-6x batched-engine
-advantage would stop at the serving boundary.  :class:`KnnBatcher` puts a
+request would pay the full per-query ``knn`` cost, and a flat-path index could
+not share one GEMM estimate across concurrent requests (a tree-path batch
+loops the per-query engine, so it gains nothing from coalescing).  :class:`KnnBatcher` puts a
 :class:`~repro.parallel.batching.MicroBatchQueue` in front of the engine:
 handler threads submit ``(query, k, timeout_s)`` and block, the drainer groups
 whatever coalesced by identical ``(k, timeout_s)`` and answers each group with

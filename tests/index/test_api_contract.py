@@ -221,6 +221,18 @@ class TestEveryDocumentedFailureIsTyped:
                 call()
 
     @pytest.mark.parametrize("index_fixture",
+                             ["sofa_index", "messi_index", "dynamic_index"])
+    @pytest.mark.parametrize("flag", [True, False])
+    def test_boolean_k_is_not_a_count(self, index_fixture, query, flag,
+                                      request):
+        """``k=True`` is not a 1-NN request, nor ``k=False`` a 0-NN one."""
+        index = request.getfixturevalue(index_fixture)
+        for call in [lambda: index.knn(query, k=flag),
+                     lambda: index.knn_batch(query[None, :], k=flag)]:
+            with pytest.raises(ValidationError, match="k must be an integer"):
+                call()
+
+    @pytest.mark.parametrize("index_fixture",
                              ["dynamic_index", "sharded_index"])
     def test_write_surfaces(self, index_fixture, request):
         """Non-numeric inserts and non-integral row ids fail typed, before
@@ -230,7 +242,9 @@ class TestEveryDocumentedFailureIsTyped:
         for call in [lambda: index.insert("abc"),
                      lambda: index.insert_batch("abc"),
                      lambda: index.delete("3"),
-                     lambda: index.delete(2.5)]:
+                     lambda: index.delete(2.5),
+                     lambda: index.delete(True),
+                     lambda: index.delete(False)]:
             with pytest.raises(ValidationError):
                 call()
         assert index.num_surviving == surviving

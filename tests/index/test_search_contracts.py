@@ -31,16 +31,36 @@ def _force_path(monkeypatch, threshold):
                         threshold)
 
 
-def _assert_identical(reference, candidate):
+#: The work counters of :class:`SearchStats` (its timings are wall clock).
+_WORK_COUNTERS = ("series_lower_bounds", "exact_distances", "leaves_visited",
+                  "nodes_pruned", "leaves_pruned_in_queue", "timed_out")
+
+
+def _assert_identical(reference, candidate, counters=False):
+    """Bit-identical answers and, with ``counters``, identical work."""
     assert np.array_equal(reference.indices, candidate.indices)
     assert np.array_equal(reference.distances, candidate.distances)
+    if counters:
+        for name in _WORK_COUNTERS:
+            assert (getattr(reference.stats, name)
+                    == getattr(candidate.stats, name)), name
 
 
 def _assert_batch_matches(searcher, queries, k):
-    """``knn_batch`` answers every query bit-identically to ``knn``."""
+    """``knn_batch`` answers every query bit-identically to ``knn``.
+
+    On the tree path ``knn_batch`` runs ``knn``'s engine per query, so every
+    work counter matches too.  The flat path's batched estimate is one GEMM
+    whose rounding differs from ``knn``'s GEMV, so only its answers are
+    compared."""
+    tree = searcher.index if isinstance(searcher, ExactSearcher) \
+        else searcher.tree
+    on_tree_path = not repro.index.search.uses_flat_refinement(tree)
     batched = searcher.knn_batch(queries, k=k)
+    assert len(batched) == len(queries)
     for query, candidate in zip(queries, batched):
-        _assert_identical(searcher.knn(query, k=k), candidate)
+        _assert_identical(searcher.knn(query, k=k), candidate,
+                          counters=on_tree_path)
 
 
 @pytest.fixture(scope="module")
@@ -183,6 +203,47 @@ class TestDynamicSearch:
             assert not dead.intersection(result.indices.tolist())
         for result in dynamic.knn_batch(queries.values[:5], k=10):
             assert not dead.intersection(result.indices.tolist())
+
+
+class TestOneTreePathEngine:
+    """On the tree path ``knn_batch`` is ``knn`` per query: same answers and
+    the same work, for SOFA, MESSI and a dynamic index mid-ingest."""
+
+    @pytest.fixture(scope="class")
+    def random_walk_indexes(self):
+        rng = np.random.default_rng(29)
+        data = rng.normal(size=(2000, 64)).cumsum(axis=1)
+        dynamic = SofaIndex(leaf_size=20).build(data).dynamic()
+        dynamic.insert_batch(rng.normal(size=(60, 64)).cumsum(axis=1))
+        dynamic.delete(11)      # base tombstone
+        dynamic.delete(2000 + 9)  # delta tombstone
+        indexes = {"SOFA": SofaIndex(leaf_size=20).build(data),
+                   "MESSI": MessiIndex(leaf_size=20).build(data),
+                   "dynamic": dynamic}
+        queries = data[:8] + rng.normal(scale=0.5, size=(8, 64))
+        return indexes, queries
+
+    @pytest.mark.parametrize("label", ["SOFA", "MESSI", "dynamic"])
+    @pytest.mark.parametrize("k", [1, 10])
+    def test_counters_match_knn(self, random_walk_indexes, label, k,
+                                monkeypatch):
+        indexes, queries = random_walk_indexes
+        _force_path(monkeypatch, 0.0)
+        _assert_batch_matches(indexes[label], queries, k=k)
+
+    def test_expired_deadline_matches_knn(self, built_indexes, monkeypatch):
+        """A batch budget that is already spent stops every query after its
+        seed leaf, as ``knn`` does under the same spent budget."""
+        indexes, queries = built_indexes
+        _force_path(monkeypatch, 0.0)
+        index = indexes["SOFA"]
+        monkeypatch.setattr(repro.index.search, "deadline_expired",
+                            lambda deadline: deadline is not None)
+        batched = index.knn_batch(queries.values[:4], k=3, timeout_s=60)
+        for query, candidate in zip(queries.values[:4], batched):
+            reference = index.knn(query, k=3, timeout_s=60)
+            assert reference.stats.timed_out
+            _assert_identical(reference, candidate, counters=True)
 
 
 class TestBatchSharding:

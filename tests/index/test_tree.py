@@ -346,20 +346,21 @@ class TestProductionKernelSoundness:
             _assert_sound(bounds, true[query, rows])
 
     def test_batch_lower_bound_pairs(self, summarization, family):
-        """The ragged (query, leaf-series) pairs, expanded and bounded the
-        way :class:`~repro.index.batch_search.BatchSearcher` does it."""
+        """Ragged (query, leaf-series) pairs: every query paired with the
+        series of every other leaf, gathered from the series directory."""
         from repro.core.simd import batch_lower_bound_pairs
-        from repro.index.batch_search import _expand_pairs
 
         tree, summaries, true = _sweep_case(summarization, family)
         lower, upper, rows, offsets, sizes = tree.series_directory()
         num_leaves = len(tree.leaf_nodes)
-        # Every query paired with every other leaf, query-major.
-        pair_query = np.repeat(np.arange(summaries.shape[0]),
-                               -(-num_leaves // 2))
-        pair_leaf = np.tile(np.arange(0, num_leaves, 2), summaries.shape[0])
-        instance_query, column = _expand_pairs(pair_query, pair_leaf,
-                                               offsets, sizes)
+        # Every query paired with every other leaf, query-major, each pair
+        # expanded into one instance per series of its leaf.
+        leaf_columns = np.concatenate(
+            [np.arange(offsets[leaf], offsets[leaf] + sizes[leaf])
+             for leaf in range(0, num_leaves, 2)])
+        instance_query = np.repeat(np.arange(summaries.shape[0]),
+                                   leaf_columns.size)
+        column = np.tile(leaf_columns, summaries.shape[0])
         bounds = batch_lower_bound_pairs(summaries[instance_query],
                                          lower[column], upper[column],
                                          tree.summarization.weights)

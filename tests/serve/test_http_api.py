@@ -143,6 +143,14 @@ class TestWriteRoutes:
         assert answer["generation"] == 2
         assert answer["distances"][0] == pytest.approx(0.0, abs=1e-12)
 
+    def test_boolean_row_is_400_and_deletes_nothing(self, client):
+        """JSON ``true`` is not row 1."""
+        status, body = client.post("/live/delete", {"row": True})
+        assert status == 400
+        assert body["error"]["type"] == "ValidationError"
+        status, health = client.get("/healthz")
+        assert health["writers"]["live"]["tombstones"] == 0
+
     def test_double_delete_is_409(self, client):
         client.post("/live/delete", {"row": 3})
         status, body = client.post("/live/delete", {"row": 3})
