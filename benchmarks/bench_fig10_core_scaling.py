@@ -5,9 +5,9 @@ added to one query's refinement threads, with SOFA keeping the lowest median
 at every core count.  This reproduction diverges: in Python the GIL made
 threads inside one query a net loss, so a single query runs on one thread
 and the system scales over **shard processes** instead
-(:class:`~repro.cluster.ClusterIndex`).  Those processes share only the
-coordinator's frozen cross-shard bound per attempt, never a live
-best-so-far, so they prune less than the paper's shared-memory threads.
+(:class:`~repro.cluster.ClusterIndex`).  Those processes share no bound at
+all: each shard searches on its own best-so-far, so together they prune
+less than the paper's threads sharing one best-so-far.
 
 Measured and reported:
 

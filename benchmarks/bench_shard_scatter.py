@@ -14,12 +14,12 @@ On the healthy factor: each shard pays the engine's fixed per-query cost
 (z-normalization, the query's DFT and per-tree SFA word, heap setup) on top
 of its share of the scan, and those per-shard searches serialize under the
 GIL — measured, a 4-shard scatter lands at 2-5x the unsharded engine at
-harness scales (a sequential shared-best-so-far scatter measures the same,
-so it is the duplicated fixed cost, not the thread dispatch).  The bound
-here is therefore a *regression tripwire*, not a performance claim: it
-catches order-of-magnitude accidents — an engine reload per query, a probe
-or retry sneaking onto the healthy path, a lost shared-best-so-far — while
-tolerating the inherent constant.
+harness scales; each shard also prunes on its own best-so-far only, so on
+the tree path it refines rows another shard's answer would have ruled out.
+The bound here is therefore a *regression tripwire*, not a performance
+claim: it catches order-of-magnitude accidents — an engine reload per
+query, a probe or retry sneaking onto the healthy path — while tolerating
+the inherent constant.
 
 Both modes must also answer exactly: healthy bit-identical to the unsharded
 reference, degraded bit-identical to an index built over the surviving

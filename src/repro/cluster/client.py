@@ -159,14 +159,12 @@ class RemoteShardClient:
 
     # ----------------------------------------------------------------- RPCs
 
-    def knn_once(self, query, k: int, timeout_s: "float | None",
-                 threshold: "float | None") -> dict:
+    def knn_once(self, query, k: int, timeout_s: "float | None") -> dict:
         """One scatter attempt: shard-local ids, squared, stats."""
         return self._rpc("shard_knn", {
             "query": [float(value) for value in query],
             "k": int(k),
             "timeout_s": timeout_s,
-            "threshold": threshold,
         }, timeout_s)
 
     def knn_batch_once(self, matrix, k: int,
@@ -178,21 +176,12 @@ class RemoteShardClient:
             "timeout_s": timeout_s,
         }, timeout_s)
 
-    def answer(self, queries: np.ndarray, k: int, timeout_s: "float | None",
-               best=None):
-        """:func:`~repro.index.sharded.shard_answer`, computed by the worker.
-
-        The worker cannot share ``best`` (the attempt's
-        :class:`~repro.index.search.BestSoFar`), so its threshold travels by
-        value — a frozen floor for the whole search, ``None`` while still
-        infinite — and the decoded candidates are offered back to it, so
-        shards that answer later, and retries, start from a tighter bound.
-        """
-        single = queries.ndim == 1
-        if single:
-            floor = np.inf if best is None else float(best.threshold)
-            payload = self.knn_once(queries, k, timeout_s,
-                                    floor if np.isfinite(floor) else None)
+    def answer(self, queries: np.ndarray, k: int,
+               timeout_s: "float | None"):
+        """:func:`~repro.index.sharded.shard_answer`, computed by the worker:
+        ``shard_knn`` for one query, ``shard_knn_batch`` for a matrix."""
+        if queries.ndim == 1:
+            payload = self.knn_once(queries, k, timeout_s)
             entries, stats = [payload], [payload["stats"]]
         else:
             payload = self.knn_batch_once(queries, k, timeout_s)
@@ -204,8 +193,6 @@ class RemoteShardClient:
         candidates = [self._candidates(entry, k) for entry in entries]
         ids = [rows for rows, _ in candidates]
         squared = [distances for _, distances in candidates]
-        if single and best is not None:
-            best.offer_block(squared[0], ids[0])
         return (ids, squared, [stats_from_payload(entry) for entry in stats],
                 int(payload["surviving"]))
 

@@ -26,10 +26,10 @@ Identity contract (now across a process boundary):
 * **Degraded cluster** — with ``degraded="allow"``, answers during a worker
   outage are bit-identical to an index over the surviving shards' rows,
   flagged ``partial=True`` with ``coverage < 1``.
-* The cross-shard best-so-far is forwarded to workers as a *frozen*
-  threshold snapshot per attempt.  A frozen bound is merely looser than the
-  live heap, so it can only under-prune — admissible by the same argument
-  as the in-process parent heap.
+* Every worker searches on its own best-so-far, in process and across the
+  wire alike: a query's attempt carries no bound from the coordinator or
+  from other shards, so what a worker does for a query does not depend on
+  which shard answered first.
 
 Recovery loop: worker dies → connection failures are transients → the board
 quarantines the shard → the supervisor restarts the process with backoff →

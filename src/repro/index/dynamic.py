@@ -70,12 +70,7 @@ from repro.core.normalization import znormalize_batch
 from repro.core.series import Dataset, GrowableArray
 from repro.index.batch_search import BatchSearcher
 from repro.index.facade import TreeFacade
-from repro.index.search import (
-    BestSoFar,
-    ExactSearcher,
-    SearchResult,
-    validated_row,
-)
+from repro.index.search import ExactSearcher, SearchResult, validated_row
 from repro.index.tree import TreeIndex
 from repro.index.wal import OP_COMPACT, OP_DELETE, OP_INSERT, WriteAheadLog
 from repro.index.wal import read_records as _read_wal_records
@@ -477,20 +472,18 @@ class DynamicIndex:
 
     def knn(self, query: np.ndarray, k: int = 1,
             timeout_s: "float | None" = None,
-            shared_best: "BestSoFar | None" = None,
             trace=None) -> SearchResult:
         """Exact k-NN over *tree ∪ delta − tombstones*.
 
         Bit-identical to a scratch rebuild on the surviving rows (answers are
         reported under the same global row ids this index hands out).
         ``timeout_s`` bounds the search: on expiry the best-so-far is
-        finalized with ``stats.timed_out=True``.  ``shared_best`` runs the
-        search on a caller-built (cross-shard) best-so-far; ``trace`` records
-        phase spans (including the delta-fusion phase) without changing the
+        finalized with ``stats.timed_out=True``.  ``trace`` records phase
+        spans (including the delta-fusion phase) without changing the
         answer; see :meth:`~repro.index.search.ExactSearcher.knn`.
         """
         return self._state.searcher.knn(query, k=k, timeout_s=timeout_s,
-                                        shared_best=shared_best, trace=trace)
+                                        trace=trace)
 
     def gather_values(self, rows) -> np.ndarray:
         """Stack the served (normalized) values of global ``rows``.

@@ -54,7 +54,6 @@ from __future__ import annotations
 import heapq
 import numbers
 import operator
-import threading
 import time
 from dataclasses import dataclass, fields
 from typing import NamedTuple
@@ -321,97 +320,49 @@ def gather_values(values: np.ndarray, rows: np.ndarray, delta=None
 
 
 class BestSoFar:
-    """The best-so-far of one search: a bounded, thread-safe k-NN heap.
+    """The best-so-far of one search: a bounded k-NN heap.
 
     Keeps the k smallest offers under the total order (distance², row): on
     tied distances the smaller row wins.  A total order makes the retained
-    set independent of the order candidates were offered in, which is what
-    lets the sharded scatter (whose shard threads offer into one shared
-    parent heap in an order that depends on thread timing) select the same
-    k answers as an unsharded search.
-
-    Offers serialize on a mutex; the pruning threshold is published as a
-    plain attribute that shard threads read lock-free (an atomic attribute
-    load under the GIL; a stale value is merely a looser bound, and the
-    threshold only ever tightens, so pruning against it stays conservative)
-    and re-read between refinement blocks — which is how one shard's
-    tightened best-so-far prunes every other shard's remaining work.
-
-    ``floor`` is a frozen external bound that caps only the published
-    threshold: searches prune against it, but offers are still retained
-    against the heap's own k-th best (refinement-time distances drift by an
-    ulp from the canonical ones a floor is computed from, so a candidate
-    *at* the floor — a cross-shard tie — must not be dropped here).  A shard
-    worker searches under the cluster coordinator's cross-shard threshold
-    this way — admissible because the live bound only tightens afterwards,
-    so the forwarded value is merely looser and no global winner is lost.
-
-    ``parent`` couples this heap to a live cross-shard best-so-far: the
-    threshold is the tighter of the two, and every offered block is forwarded
-    to the parent with its rows translated by ``row_map`` (a callable from
-    this heap's rows to the parent's), so the parent's tie order is the
-    *global* (distance², row) order.  Pruning against the parent is
-    admissible because a true global top-k candidate has ``bound <= distance
-    <= global k-th <= published threshold`` and the tie-tolerant
-    ``_admissible`` filter keeps candidates *at* the threshold.  ``offered``
-    records that this heap forwarded anything at all — what the sharded
-    gather needs to tell whether a failed shard tightened the shared bound.
+    set independent of the order and the blocks candidates were offered in,
+    which is what lets every engine, and every shard of a scatter, select
+    the same k answers as one unsharded search.  ``threshold`` is the k-th
+    best squared distance (``inf`` until the heap is full): what the search
+    prunes against, and what an offer must not exceed.
     """
 
-    def __init__(self, k: int, floor: float = np.inf,
-                 parent: "BestSoFar | None" = None, row_map=None) -> None:
+    def __init__(self, k: int) -> None:
         self.k = k
-        self.offered = False
+        self.threshold = np.inf
         self._heap: list[tuple[float, int]] = []  # (-distance², -row)
-        self._lock = threading.Lock()
-        self._floor = float(floor)
-        self._kth = np.inf  # this heap's own k-th best: what offers must beat
-        self._threshold = self._floor  # published: min(floor, k-th best)
-        self._parent = parent
-        self._row_map = row_map
-
-    @property
-    def threshold(self) -> float:
-        """The k-th best squared distance, capped by the floor and the parent."""
-        if self._parent is None:
-            return self._threshold
-        return min(self._threshold, self._parent.threshold)
 
     def offer_block(self, squared: np.ndarray, rows: np.ndarray) -> None:
         """Offer a whole candidate block at once.
 
-        The vectorized comparison against this heap's own k-th best drops
-        candidates that cannot displace it before the per-row loop runs; a
+        The vectorized comparison against the threshold drops candidates
+        that cannot displace the k-th best before the per-row loop runs; a
         candidate at exactly that value still passes (it can win the
         smaller-row tie-break under the total order), so the retained set is
-        unchanged — offers above it were no-ops anyway.  Survivors are
-        re-checked under the lock against the heap's (possibly tighter) top.
+        unchanged — offers above it were no-ops anyway.
         """
-        self.offered = True
-        if self._parent is not None:
-            self._parent.offer_block(
-                squared, rows if self._row_map is None else self._row_map(rows))
-        surviving = squared <= self._kth
+        surviving = squared <= self.threshold
         if not surviving.any():
             return
         heap, k = self._heap, self.k
-        with self._lock:
-            for distance, row in zip(squared[surviving].tolist(),
-                                     rows[surviving].tolist()):
-                entry = (-distance, -row)
-                if len(heap) < k:
-                    heapq.heappush(heap, entry)
-                elif entry > heap[0]:
-                    heapq.heapreplace(heap, entry)
-            if len(heap) == k:
-                self._kth = -heap[0][0]
-                self._threshold = min(self._floor, self._kth)
+        for distance, row in zip(squared[surviving].tolist(),
+                                 rows[surviving].tolist()):
+            entry = (-distance, -row)
+            if len(heap) < k:
+                heapq.heappush(heap, entry)
+            elif entry > heap[0]:
+                heapq.heapreplace(heap, entry)
+        if len(heap) == k:
+            self.threshold = -heap[0][0]
 
     def sorted_items(self) -> list[tuple[float, int]]:
         """The retained (distance², row) pairs, ascending."""
-        with self._lock:
-            return sorted((-negative_squared, -negative_row)
-                          for negative_squared, negative_row in self._heap)
+        return sorted((-negative_squared, -negative_row)
+                      for negative_squared, negative_row in self._heap)
 
 
 def stats_to_payload(stats: SearchStats) -> dict:
@@ -504,8 +455,8 @@ def certified_bounds(queries: np.ndarray, values: np.ndarray,
 
 def certified_candidates(queries: np.ndarray, values: np.ndarray,
                          norms: np.ndarray, count: int, delta=None,
-                         deadline: "float | None" = None,
-                         threshold=None) -> CertifiedCandidates:
+                         deadline: "float | None" = None
+                         ) -> CertifiedCandidates:
     """Rows that may be among the ``count`` nearest of each query row.
 
     :func:`certified_bounds` estimates ``est = fl(fl(‖q‖² + ‖x‖²) −
@@ -513,8 +464,8 @@ def certified_candidates(queries: np.ndarray, values: np.ndarray,
     fl(c·(n+2)·u · fl(‖q‖² + ‖x‖²))``, ``c`` = :data:`_MARGIN_FACTOR`, ``n``
     the series length and ``u = 2⁻⁵³``.  With ``U`` the ``count``-th
     smallest ``fl(est + δ)`` of a query, its candidates are the live rows
-    with ``fl(est − δ) <= min(U, threshold())``; the caller computes
-    :func:`canonical_squared` on them only.
+    with ``fl(est − δ) <= U``; the caller computes :func:`canonical_squared`
+    on them only.
 
     *Proof.*  Let ``S = ‖q‖² + ‖x‖²``, ``D = ‖q − x‖²`` (exact), ``r`` the
     :func:`canonical_squared` value, ``γⱼ = ju/(1 − ju)``, and assume
@@ -538,22 +489,20 @@ def certified_candidates(queries: np.ndarray, values: np.ndarray,
 
     *Selection.*  ``count`` rows have ``r <= fl(est + δ) <= U``, so the
     ``count``-th smallest canonical value ``r₍ₖ₎`` is at most ``U``; a row
-    tied at or below ``r₍ₖ₎`` (and at or below the threshold, which by
-    the heap's contract bounds every wanted row) has ``fl(est − δ) <= r <=
-    min(U, threshold)``.  So ranking the candidates by (``r``, row) picks
-    exactly the canonical top ``count``, ties included.  ``U`` is found
-    without a selection over every row: the ``count``-th smallest upper end
-    ``T`` of a strided sample of the first block is at least ``U``, so the
-    ``count`` rows that define ``U`` all have ``fl(est − δ) <= T``, and
-    ``U`` is the ``count``-th smallest upper end among those survivors.
+    tied at or below ``r₍ₖ₎`` has ``fl(est − δ) <= r <= U``.  So ranking
+    the candidates by (``r``, row) picks exactly the canonical top
+    ``count``, ties included.  ``U`` is found without a selection over every
+    row: the ``count``-th smallest upper end ``T`` of a strided sample of
+    the first block is at least ``U``, so the ``count`` rows that define
+    ``U`` all have ``fl(est − δ) <= T``, and ``U`` is the ``count``-th
+    smallest upper end among those survivors.
 
     Rows go in blocks of :data:`_ESTIMATE_BLOCK_CELLS` pairs, the pending
     ``delta``'s rows last; tombstoned rows get ``est = +inf``.  The deadline
     is checked before every block but the first and after the last; on
     expiry the estimated blocks' candidates come back with ``timed_out``
     set, so a timed-out answer holds the best of at least the first block,
-    every distance exact.  ``threshold`` (a live heap's, read after the
-    estimate) is a zero-argument callable or ``None``.
+    every distance exact.
     """
     num_queries = queries.shape[0]
     survivors = []   # per block: (query, row, lower, upper) below the limits
@@ -610,8 +559,6 @@ def certified_candidates(queries: np.ndarray, values: np.ndarray,
     limits = np.full(num_queries, np.inf)
     filled = sizes >= count
     limits[filled] = ranked[(np.cumsum(sizes) - sizes + count - 1)[filled]]
-    if threshold is not None:
-        limits = np.minimum(limits, threshold())
     keep = np.flatnonzero(lower <= limits[query_of])
     keep = keep[np.argsort(query_of[keep], kind="stable")]
     return CertifiedCandidates(query_of[keep], rows[keep], estimated,
@@ -663,7 +610,6 @@ class ExactSearcher:
 
     def knn(self, query: np.ndarray, k: int = 1,
             timeout_s: "float | None" = None,
-            shared_best: "BestSoFar | None" = None,
             trace=None) -> SearchResult:
         """Exact k nearest neighbours of ``query`` under the (z-)ED.
 
@@ -671,13 +617,6 @@ class ExactSearcher:
         mid-refinement the current best-so-far is finalized and returned with
         ``stats.timed_out=True`` (every reported distance is exact; the set
         may miss a closer unrefined series) instead of running to completion.
-
-        ``shared_best`` is a caller-built :class:`BestSoFar` (capacity at
-        least ``k``) to run this search on instead of a fresh one: the
-        sharded engine hands each shard a heap whose parent is the same
-        global bound, so one shard's tightened threshold prunes every other
-        shard's remaining work — PR 5's broadcast, lifted across shards —
-        and a cluster worker one floored at the coordinator's threshold.
 
         ``trace`` (a :class:`~repro.obs.trace.Trace`) records the query's
         phase spans — summarize, approximate, delta, traversal, refinement,
@@ -690,13 +629,12 @@ class ExactSearcher:
         deadline = resolve_deadline(timeout_s)
         delta = self._delta_source() if self._delta_source is not None else None
         result = self._knn_under_delta(query, k, delta, deadline=deadline,
-                                       shared_best=shared_best, trace=trace)
+                                       trace=trace)
         result.stats.wall_time_s = time.perf_counter() - start
         return result
 
     def _knn_under_delta(self, query: np.ndarray, k: int, delta,
                          deadline: "float | None" = None,
-                         shared_best: "BestSoFar | None" = None,
                          trace=None) -> SearchResult:
         """The engine behind :meth:`knn`, with the dynamic overlay pinned."""
         setup_start = time.perf_counter() if trace is not None else 0.0
@@ -715,7 +653,7 @@ class ExactSearcher:
             query_word = self._bins.symbols(query_summary)
 
         stats = SearchStats(num_series=available)
-        heap = shared_best if shared_best is not None else BestSoFar(k)
+        heap = BestSoFar(k)
         if trace is not None:
             # Validation, z-normalization and (tree path) the SFA transform.
             trace.add_phase("summarize", time.perf_counter() - setup_start)
@@ -809,16 +747,14 @@ class ExactSearcher:
                           delta, deadline: "float | None", trace) -> None:
         """Estimate every row, then offer the candidates' canonical distances.
 
-        Candidates are selected against the heap's published threshold
-        (floor and live parent included) and offered in one block, so a
-        ``parent`` receives them under its row map.  Every estimated row
-        counts as a lower bound (``fl(est − δ)`` is one).
+        The candidates' canonical distances are offered in one block.
+        Every estimated row counts as a lower bound (``fl(est − δ)`` is
+        one).
         """
         start = time.perf_counter()
         found = certified_candidates(
             query[None, :], self.index.dataset.values,
-            self.index.squared_norms, heap.k, delta=delta, deadline=deadline,
-            threshold=lambda: heap.threshold)
+            self.index.squared_norms, heap.k, delta=delta, deadline=deadline)
         rows = found.rows
         stats.series_lower_bounds += found.estimated
         stats.timed_out = found.timed_out
@@ -870,14 +806,13 @@ class ExactSearcher:
 
         A candidate whose lower bound *equals* the threshold is kept: its
         true distance can equal the k-th best exactly, in which case it can
-        still win the smaller-row tie-break under the total order.  Keeping
-        it is what makes pruning against the live shared threshold
-        schedule-independent — a true top-k candidate has
-        ``bound <= distance <= final threshold <= current threshold`` and
-        therefore can never be dropped, no matter which shard thread
-        tightened a shared parent heap's threshold first; with a strict
-        filter, a tie candidate's fate would depend on thread timing.  ``+inf`` bounds (masked tombstones) are
-        always excluded, even while the threshold is still infinite.
+        still win the smaller-row tie-break under the total order.  A true
+        top-k candidate has ``bound <= distance <= final threshold <=
+        current threshold`` and therefore is never dropped, however the
+        candidates were blocked; with a strict filter, a tie candidate's
+        fate would depend on the refinement order.  ``+inf`` bounds (masked
+        tombstones) are always excluded, even while the threshold is still
+        infinite.
         """
         if np.isfinite(threshold):
             return bounds <= threshold
@@ -906,9 +841,9 @@ class ExactSearcher:
 
         This is the one copy of the BSF-refresh loop that used to be
         duplicated across the leaf, group and delta refinement paths:
-        candidates whose lower bound beats the (possibly shared) heap's
-        threshold are visited most-promising-first in blocks; each block
-        costs one batched ED kernel call, the threshold is re-read between
+        candidates whose lower bound beats the heap's threshold are visited
+        most-promising-first in blocks; each block costs one batched ED
+        kernel call, the threshold is re-read between
         blocks so the remaining tail can be abandoned wholesale (the blend
         of vectorization and early abandoning of Algorithm 3), and only
         survivors of the heap's vectorized ``<= threshold`` pre-filter reach

@@ -18,12 +18,11 @@ total order.  The design goals, in order:
   index's winners with (a row's canonical distance does not depend on which
   other rows sit in the matrix), so selecting the top ``k`` of the union
   *is* the unsharded finalization.  Candidate values never leave the shard.
-* **Cross-shard pruning.**  Single-query ``knn`` searches every shard on a
-  :class:`~repro.index.search.BestSoFar` whose parent is one shared
-  cross-shard heap: one shard's tightened best-so-far prunes every other
-  shard's remaining work — admissible because the published threshold
-  never drops below the true global k-th distance and the tie-tolerant
-  filters keep candidates *at* the threshold.
+* **One scatter.**  ``knn`` and ``knn_batch`` ask every shard once, each
+  shard searching on its own best-so-far, then gather once.  Shards share
+  no pruning bound: a shard's work is what its own engine does for the
+  query, so it cannot depend on which shard answered first, and a failed
+  attempt leaves nothing behind for the retry or the other shards to undo.
 * **One attempt path.**  What one shard contributes to a scatter is computed
   by :func:`shard_answer` — in this process, or inside a worker process that
   ships the same tuple back (:mod:`repro.cluster`); everything after it
@@ -83,7 +82,6 @@ from repro.core.normalization import znormalize, znormalize_batch
 from repro.core.series import Dataset
 from repro.index.dynamic import DynamicIndex, _resolve_tree, numeric_series
 from repro.index.search import (
-    BestSoFar,
     SearchResult,
     SearchStats,
     canonical_squared,
@@ -106,8 +104,8 @@ from repro.obs.metrics import get_registry
 _REGISTRY = get_registry()
 _SHARD_SCATTERS = _REGISTRY.counter(
     "repro_shard_scatters_total",
-    "Scatter rounds issued by sharded queries (contamination reruns "
-    "count as separate rounds).")
+    "Scatter rounds issued by sharded queries (one per knn or knn_batch "
+    "call).")
 _SHARD_OUTCOMES = _REGISTRY.counter(
     "repro_shard_outcomes_total",
     "Per-shard scatter outcomes: answered, failed, or skipped "
@@ -186,18 +184,15 @@ class _Outcome:
 
 
 def shard_answer(engine, queries: np.ndarray, k: int,
-                 timeout_s: "float | None" = None,
-                 best: "BestSoFar | None" = None):
+                 timeout_s: "float | None" = None):
     """One shard's contribution to a scatter, from a DynamicIndex-like engine.
 
-    A 1-D ``queries`` is one query searched on ``best`` (the caller's
-    :class:`~repro.index.search.BestSoFar`, floored or parented as the
-    deployment needs); a 2-D one goes to the batched engine, which keeps its
-    own schedule (no cross-shard best-so-far).  ``k`` is clamped to the
-    shard's surviving rows.  Returns ``(ids, squared, stats, surviving)``
-    with one entry per query in the first three: shard-local candidate ids,
-    their :func:`~repro.index.search.canonical_squared` distances, and the
-    search stats.  The distances are taken to the query normalized the way
+    A 1-D ``queries`` is one query for the engine's ``knn``; a 2-D one goes
+    to its ``knn_batch``.  ``k`` is clamped to the shard's surviving rows.
+    Returns ``(ids, squared, stats, surviving)`` with one entry per query in
+    the first three: shard-local candidate ids, their
+    :func:`~repro.index.search.canonical_squared` distances, and the search
+    stats.  The distances are taken to the query normalized the way
     one unsharded index finalizes it (``znormalize`` for one query,
     ``znormalize_batch`` for a matrix), so the gather ranks them as they
     are — the candidates' values stay with the shard.
@@ -211,8 +206,7 @@ def shard_answer(engine, queries: np.ndarray, k: int,
                 [np.empty(0)] * count,
                 [SearchStats(num_series=0) for _ in range(count)], surviving)
     if single:
-        results = [engine.knn(queries, k=effective_k, timeout_s=timeout_s,
-                              shared_best=best)]
+        results = [engine.knn(queries, k=effective_k, timeout_s=timeout_s)]
         normalized = znormalize(queries)[None, :]
     else:
         results = engine.knn_batch(queries, k=effective_k, timeout_s=timeout_s)
@@ -305,11 +299,11 @@ class ShardedIndex:
             raise ValidationError(
                 f"build expects a non-empty 2-D matrix of series, got shape "
                 f"{matrix.shape}")
-        try:
-            num_shards = operator.index(num_shards)
-        except TypeError:
+        if isinstance(num_shards, bool) or not hasattr(type(num_shards),
+                                                       "__index__"):
             raise InvalidParameterError(
-                f"num_shards must be an integer, got {num_shards!r}") from None
+                f"num_shards must be an integer, got {num_shards!r}")
+        num_shards = operator.index(num_shards)
         if num_shards < 1:
             raise InvalidParameterError(
                 f"num_shards must be >= 1, got {num_shards}")
@@ -472,23 +466,19 @@ class ShardedIndex:
                     self._executor = executor
         return executor
 
-    def _scatter(self, attempt, deadline: "float | None",
-                 presets: "dict[int, _Outcome] | None" = None) -> "list[_Outcome]":
+    def _scatter(self, attempt, deadline: "float | None") -> "list[_Outcome]":
         """Run ``attempt(shard, slice_deadline)`` on every eligible shard.
 
-        Quarantined shards (and any with a preset outcome) are skipped.  The
-        gather waits until the query deadline plus a small grace and then
-        *abandons* unfinished shards — a wedged engine cannot hang the query;
-        its thread is left to die on its own and the shard is charged a
-        transient failure.  Every outcome is typed; nothing raises out of the
+        Quarantined shards are skipped.  The gather waits until the query
+        deadline plus a small grace and then *abandons* unfinished shards — a
+        wedged engine cannot hang the query; its thread is left to die on its
+        own and the shard is charged a transient failure.  Every outcome is typed; nothing raises out of the
         scatter except through :meth:`_run_with_retries` re-packaging.
         """
-        outcomes: "dict[int, _Outcome]" = dict(presets or {})
+        outcomes: "dict[int, _Outcome]" = {}
         tasks = {}
         executor = self._executor_pool()
         for shard in self._shards:
-            if shard.index in outcomes:
-                continue
             if self._board.is_quarantined(shard.index):
                 outcomes[shard.index] = _Outcome(
                     shard.index, "skipped",
@@ -620,7 +610,7 @@ class ShardedIndex:
     def knn(self, query, k: int = 1, timeout_s: "float | None" = None,
             degraded: "str | None" = None,
             trace=None) -> SearchResult:
-        """Exact k-NN by scatter-gather with cross-shard best-so-far pruning.
+        """Exact k-NN by scatter-gather: one attempt per shard, one gather.
 
         All shards healthy: bit-identical to one unsharded index over the
         same rows.  ``K`` of ``N`` shards failed (after retries) under
@@ -629,14 +619,9 @@ class ShardedIndex:
         (N-K)/N``; under ``"forbid"`` a typed
         :class:`~repro.core.errors.PartialResultError` raises instead (as it
         always does when *no* shard answers).  The scatter itself is the
-        parallelism (each shard searches single-threaded).
-
-        If a shard attempt fails *after* contributing candidates to the
-        shared best-so-far, its offers may have over-tightened the pruning
-        bound — for the survivors, and (offered twice) once its own retry
-        succeeds; the gather detects that and re-scatters the answering
-        shards with a fresh heap (within the deadline), keeping the identity
-        guarantees.
+        parallelism (each shard searches single-threaded, on its own
+        best-so-far), so the answer and work counters equal
+        ``knn_batch(query[None])[0]``'s.
 
         ``trace`` records the scatter's phase spans (normalize, scatter,
         merge) plus one detail span per shard with its status and engine
@@ -652,30 +637,8 @@ class ShardedIndex:
             # canonical distances (see shard_answer).
             trace.add_phase("normalize", time.perf_counter() - wall_start)
             scatter_start = time.perf_counter()
-        outcomes: "list[_Outcome]" = []
-        presets: "dict[int, _Outcome] | None" = None
-        for _ in range(3):  # initial scatter + bounded contamination reruns
-            # Every attempt's heap, per shard: the gather reads their
-            # ``offered`` flags even while an abandoned attempt still runs.
-            heaps: "list[list[BestSoFar]]" = [[] for _ in self._shards]
-            outcomes = self._scatter(
-                functools.partial(self._attempt, queries=query, k=k,
-                                  global_best=BestSoFar(k), heaps=heaps),
-                deadline, presets=presets)
-            # Contaminated: an attempt that did not end up as its shard's
-            # answer (a failure, or one a successful retry re-offered over)
-            # left offers in the shared heap.
-            if not any(heap.offered for o in outcomes for heap in
-                       (heaps[o.shard][:-1] if o.answered
-                        else heaps[o.shard])):
-                break
-            answered = [o for o in outcomes if o.answered]
-            if not answered:
-                break
-            if deadline is not None and time.monotonic() >= deadline:
-                break  # out of budget: serve what we have (timed-out answer)
-            # Freeze the failures, re-ask only the shards that answered.
-            presets = {o.shard: o for o in outcomes if not o.answered}
+        outcomes = self._scatter(
+            functools.partial(self._attempt, queries=query, k=k), deadline)
         if trace is not None:
             trace.add_phase("scatter", time.perf_counter() - scatter_start,
                             shards=len(outcomes),
@@ -700,14 +663,11 @@ class ShardedIndex:
         return self.knn(query, k=1, timeout_s=timeout_s, degraded=degraded)
 
     def _attempt(self, shard: _Shard, slice_deadline: "float | None", *,
-                 queries: np.ndarray, k: int,
-                 global_best: "BestSoFar | None" = None,
-                 heaps: "list[list[BestSoFar]] | None" = None):
+                 queries: np.ndarray, k: int):
         """One attempt of one shard: ask it, translate its ids.
 
-        The single path behind ``knn`` (one query, searched on a heap whose
-        parent is ``global_best``) and ``knn_batch`` (a query matrix, no
-        cross-shard heap), whether the shard's engine is in this process
+        The single path behind ``knn`` (one query) and ``knn_batch`` (a
+        query matrix), whether the shard's engine is in this process
         (:func:`shard_answer`) or a worker's (``shard.remote.answer``, the
         same tuple over RPC).
 
@@ -726,14 +686,7 @@ class ShardedIndex:
                 time.sleep(0.0005)
                 continue
             timeout_s = _slice_timeout(shard, slice_deadline)
-            best = None
-            if global_best is not None:
-                # Rows are translated through the shard's *live* id map: an
-                # insert maps its rows before the engine can surface them.
-                best = BestSoFar(k, parent=global_best,
-                                 row_map=lambda rows: shard.globals_map[rows])
-                heaps[shard.index].append(best)
-            ids, squared, stats, surviving = ask(queries, k, timeout_s, best)
+            ids, squared, stats, surviving = ask(queries, k, timeout_s)
             globals_map = shard.globals_map
             if shard.version != version:
                 continue
@@ -774,9 +727,9 @@ class ShardedIndex:
                   degraded: "str | None" = None) -> "list[SearchResult]":
         """Batched scatter-gather: one ``knn_batch`` per shard, merged per query.
 
-        No cross-shard best-so-far here (the per-shard batched engines keep
-        their own schedules); answers are still exact and bit-identical to
-        the unsharded batch through the same candidate-union ranking.
+        The same single scatter as :meth:`knn`; answers are exact and
+        bit-identical to the unsharded batch through the same
+        candidate-union ranking.
         """
         wall_start = time.perf_counter()
         k = validated_count(k)

@@ -21,9 +21,8 @@ def merge_search_stats(into: "SearchStats",
     The sharded gather gives every shard search its own
     :class:`~repro.index.search.SearchStats`; this merge folds them into the
     query-level report afterwards.  ``parts`` must be ordered by shard, never
-    by completion time, so the merge *procedure* is deterministic.  The
-    merged values themselves still reflect one concurrent run — how much
-    work a shared best-so-far saved depends on thread timing.  Counters and
+    by completion time, so the merge is deterministic; each shard searches
+    on its own best-so-far, so the merged counters are too.  Counters and
     ``refinement_time`` sum; the phases ``approximate_time`` and
     ``traversal_time`` and the whole-query ``wall_time_s`` belong to ``into``
     and are left untouched — a shard search's lifetime is contained in the

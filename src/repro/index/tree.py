@@ -90,12 +90,13 @@ class TreeIndex:
     def __init__(self, summarization: SymbolicSummarization, leaf_size: int = 100,
                  transform_chunks: int = 36,
                  builder: str = "vectorized") -> None:
-        try:
-            leaf_size = operator.index(leaf_size)
-        except TypeError:
+        # ``True`` has ``__index__`` too, but a capacity of ``True`` is a
+        # caller's mistake, not a 1.
+        if isinstance(leaf_size, bool) or not hasattr(type(leaf_size),
+                                                      "__index__"):
             raise InvalidParameterError(
-                f"leaf_size must be an integer, got {leaf_size!r}"
-            ) from None
+                f"leaf_size must be an integer, got {leaf_size!r}")
+        leaf_size = operator.index(leaf_size)
         if leaf_size < 1:
             raise InvalidParameterError(f"leaf_size must be >= 1, got {leaf_size}")
         if transform_chunks < 1:

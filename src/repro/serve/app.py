@@ -37,7 +37,6 @@ from repro.core.errors import (
 )
 from repro.index.dynamic import DynamicIndex
 from repro.index.search import (
-    BestSoFar,
     SearchResult,
     SearchStats,
     stats_to_payload,
@@ -530,25 +529,21 @@ class SearchApp:
     # ------------------------------------------------------ shard worker RPC
 
     def shard_knn(self, name: str, query, k: int = 1,
-                  timeout_s: "float | None" = None,
-                  threshold: "float | None" = None) -> dict:
+                  timeout_s: "float | None" = None) -> dict:
         """One shard's contribution to a cluster scatter (worker-mode RPC).
 
         JSON-encodes :func:`~repro.index.sharded.shard_answer` — the very
-        function an in-process scatter attempt calls — searched under the
-        coordinator's forwarded best-so-far ``threshold`` as a frozen
-        pruning floor: shard-*local* candidate ids and their canonical
-        squared distances, computed here with the coordinator's
-        normalization, so the coordinator ranks (and offers to its live
-        heap) the very bits an in-process shard would hand it.
+        function an in-process scatter attempt calls: shard-*local*
+        candidate ids and their canonical squared distances, computed here
+        with the coordinator's normalization, so the coordinator ranks the
+        very bits an in-process shard would hand it.
         """
         entry = self._entry(name)
         k = validated_count(k)
         timeout_s = self.config.clamp_timeout(timeout_s)
         query = validated_query(query, engine_series_length(entry.engine))
-        best = BestSoFar(k, floor=threshold) if threshold is not None else None
         ids, squared, stats, surviving = shard_answer(
-            entry.engine, query, k, timeout_s, best)
+            entry.engine, query, k, timeout_s)
         entry.observe_query(stats[0])
         return {**_candidates_payload(ids[0], squared[0]),
                 "stats": stats_to_payload(stats[0]),
@@ -559,8 +554,7 @@ class SearchApp:
         """Batched shard RPC: :func:`~repro.index.sharded.shard_answer` of a
         query matrix, JSON-encoded.
 
-        No cross-shard best-so-far (matching the in-process batched
-        scatter); every query's candidates come back as the same
+        Every query's candidates come back as the same
         ``{"ids", "squared"}`` entry :meth:`shard_knn` returns, ready for
         the coordinator's per-query ranking.
         """

@@ -230,8 +230,7 @@ class _Handler(BaseHTTPRequestHandler):
             elif action == "shard_knn":
                 payload = self.app.shard_knn(
                     name, body.get("query"), k=body.get("k", 1),
-                    timeout_s=body.get("timeout_s"),
-                    threshold=body.get("threshold"))
+                    timeout_s=body.get("timeout_s"))
             elif action == "shard_knn_batch":
                 payload = self.app.shard_knn_batch(
                     name, body.get("queries"), k=body.get("k", 1),

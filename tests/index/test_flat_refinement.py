@@ -23,7 +23,6 @@ from repro.datasets.registry import load_dataset
 from repro.datasets.synthetic import clustered, smooth_signal
 from repro.index.batch_search import BatchSearcher
 from repro.index.search import (
-    BestSoFar,
     ExactSearcher,
     SearchStats,
     canonical_squared,
@@ -285,8 +284,7 @@ class TestCertifiedPathProperty:
 
 
 class TestCertifiedPathContracts:
-    """Deadlines on both engines, and the floor and parent heaps the sharded
-    scatter hands the per-query engine, on the flat path."""
+    """Deadlines on both engines on the flat path."""
 
     @pytest.fixture(autouse=True)
     def flat_path(self, monkeypatch):
@@ -326,32 +324,3 @@ class TestCertifiedPathContracts:
             expected = _brute_force(queries[0], np.arange(100),
                                     tree.dataset.values[:100], 3)
             _assert_identical(expected, result)
-
-    def test_floor_keeps_every_row_at_or_below_it(self, degenerate_setup):
-        tree, _, queries = degenerate_setup
-        searcher = ExactSearcher(tree)
-        for query in queries.values[:5]:
-            canonical = canonical_squared(znormalize(query),
-                                          tree.dataset.values)
-            floor = np.sort(canonical)[2]
-            result = searcher.knn(query, k=5,
-                                  shared_best=BestSoFar(5, floor=floor))
-            wanted = set(np.flatnonzero(canonical <= floor).tolist())
-            assert wanted <= set(result.indices.tolist())
-            self._assert_exact(tree, query, result)
-
-    def test_parent_receives_the_winners_under_the_row_map(
-            self, degenerate_setup):
-        tree, _, queries = degenerate_setup
-        searcher = ExactSearcher(tree)
-        for query in queries.values[:5]:
-            parent = BestSoFar(5)
-            child = BestSoFar(5, parent=parent,
-                              row_map=lambda rows: rows + 1000)
-            result = searcher.knn(query, k=5, shared_best=child)
-            _assert_identical(searcher.knn(query, k=5), result)
-            items = parent.sorted_items()
-            assert [row for _, row in items] == (result.indices
-                                                 + 1000).tolist()
-            assert np.array_equal(np.sqrt([squared for squared, _ in items]),
-                                  result.distances)

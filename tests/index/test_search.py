@@ -25,54 +25,32 @@ from repro.transforms.sax import SAX
 
 
 _GRID = st.integers(min_value=0, max_value=12).map(lambda step: step / 3.0)
-_FLOOR = st.one_of(st.just(np.inf), _GRID)
 
 
 class TestBestSoFar:
     @given(offers=st.lists(st.tuples(_GRID, st.integers(0, 60)),
                            unique_by=lambda offer: offer[1], max_size=40),
            cuts=st.lists(st.integers(0, 40), max_size=6),
-           k=st.integers(1, 6), floor=_FLOOR,
-           parent_k=st.integers(1, 6), parent_floor=_FLOOR,
-           chained=st.booleans())
+           k=st.integers(1, 6))
     @settings(max_examples=200, deadline=None)
-    def test_retains_the_k_smallest_offers_under_a_capped_threshold(
-            self, offers, cuts, k, floor, parent_k, parent_floor, chained):
-        """For any offer order, block split, floor and parent/row-map the
-        retained set is the k smallest (distance², row) offers — a coarse
-        distance grid forces exact ties, and the floor caps only the
-        published threshold, so every offer at or below it that belongs to
-        the k smallest is retained — the parent retains the same of the
-        translated offers, and no threshold rises."""
-        row_map = np.arange(61)[::-1] + 100  # order-reversing translation
-        parent = BestSoFar(parent_k, floor=parent_floor) if chained else None
-        heap = BestSoFar(k, floor=floor, parent=parent,
-                         row_map=row_map.__getitem__ if chained else None)
+    def test_retains_the_k_smallest_offers(self, offers, cuts, k):
+        """For any offer order and block split the retained set is the k
+        smallest (distance², row) offers — a coarse distance grid forces
+        exact ties — the threshold is the k-th of them (``inf`` until k
+        offers arrived), and it never rises."""
+        heap = BestSoFar(k)
         squared = np.array([distance for distance, _ in offers], dtype=float)
         rows = np.array([row for _, row in offers], dtype=np.int64)
-        assert heap.threshold == (min(floor, parent_floor) if chained
-                                  else floor)
-        assert not heap.offered
-        heaps = [heap, parent] if chained else [heap]
-        thresholds = [[each.threshold for each in heaps]]
+        thresholds = [heap.threshold]
         edges = sorted({0, len(offers), *(cut for cut in cuts
                                           if cut < len(offers))})
         for begin, end in zip(edges, edges[1:]):
             heap.offer_block(squared[begin:end], rows[begin:end])
-            thresholds.append([each.threshold for each in heaps])
-        assert heap.offered == bool(offers)
+            thresholds.append(heap.threshold)
         assert heap.sorted_items() == sorted(offers)[:k]
-        own = min([floor] + [distance for distance, _
-                             in heap.sorted_items()[k - 1:]])
-        if chained:
-            translated = [(distance, int(row_map[row]))
-                          for distance, row in offers]
-            assert parent.sorted_items() == sorted(translated)[:parent_k]
-            assert heap.threshold == min(own, parent.threshold)
-        else:
-            assert heap.threshold == own
-        for before, after in zip(thresholds, thresholds[1:]):
-            assert all(new <= old for new, old in zip(after, before))
+        assert heap.threshold == (sorted(offers)[k - 1][0]
+                                  if len(offers) >= k else np.inf)
+        assert all(new <= old for old, new in zip(thresholds, thresholds[1:]))
 
 
 class TestStatsWire:

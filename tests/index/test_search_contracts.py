@@ -3,13 +3,9 @@
 Exact-tie and duplicate-row datasets, long-series (early-abandoning kernel)
 builds and dynamic indexes mid-ingest must give the per-query engine and the
 batched engine *bit-identical* answers — identical neighbour indices and
-distances — on the tree path and the flat path.  The shared best-so-far heap
-keeps the k smallest offers under the total order (distance², row) no matter
-how many threads hammer it (the sharded scatter's shard threads offer into
-one parent heap), and phase times stay inside the query's wall time.
+distances — on the tree path and the flat path — and phase times stay inside
+the query's wall time.
 """
-
-import threading
 
 import numpy as np
 import pytest
@@ -20,7 +16,7 @@ import repro.index.batch_search
 import repro.index.search
 from repro.index.batch_search import BatchSearcher
 from repro.index.messi import MessiIndex
-from repro.index.search import BestSoFar, ExactSearcher, SearchStats
+from repro.index.search import ExactSearcher, SearchStats
 from repro.index.sofa import SofaIndex
 from repro.index.stats import merge_search_stats
 
@@ -276,41 +272,6 @@ class TestBatchSharding:
         assert sum(passes) == len(queries.values)
         for query, candidate in zip(queries.values, batched):
             _assert_identical(index.knn(query, k=3), candidate)
-
-
-class TestSharedHeapStress:
-    def test_concurrent_offers_keep_k_smallest(self):
-        """Many threads hammering one shared heap retain exactly the k
-        smallest (distance², row) pairs."""
-        rng = np.random.default_rng(0)
-        k = 16
-        num_blocks, block_size = 300, 64
-        rows = rng.permutation(num_blocks * block_size).reshape(num_blocks,
-                                                               block_size)
-        # A coarse distance grid forces plenty of exact ties across blocks.
-        squared = (rng.integers(0, 40, size=(num_blocks, block_size))
-                   .astype(np.float64) / 7.0)
-
-        shared = BestSoFar(k)
-        tickets = iter(range(num_blocks))
-        lock = threading.Lock()
-
-        def hammer():
-            while True:
-                with lock:
-                    block = next(tickets, None)
-                if block is None:
-                    return
-                shared.offer_block(squared[block], rows[block])
-
-        threads = [threading.Thread(target=hammer) for _ in range(8)]
-        for thread in threads:
-            thread.start()
-        for thread in threads:
-            thread.join()
-
-        expected = sorted(zip(squared.ravel(), rows.ravel()))[:k]
-        assert shared.sorted_items() == [(d, int(r)) for d, r in expected]
 
 
 class TestStats:

@@ -27,7 +27,7 @@ from repro.core.errors import (
 from repro.core.normalization import znormalize, znormalize_batch
 from repro.datasets.synthetic import random_walk
 from repro.index.dynamic import DynamicIndex
-from repro.index.search import canonical_squared
+from repro.index.search import canonical_squared, uses_flat_refinement
 from repro.index.shard_health import HealthPolicy
 from repro.index.sharded import ShardedIndex, shard_answer
 from repro.index.sofa import SofaIndex
@@ -62,6 +62,33 @@ def _build_sharded(values, path, num_shards, **options) -> ShardedIndex:
 def _assert_same_result(observed, expected) -> None:
     np.testing.assert_array_equal(observed.indices, expected.indices)
     np.testing.assert_array_equal(observed.distances, expected.distances)
+
+
+#: The work counters of :class:`~repro.index.search.SearchStats` (its
+#: timings are wall clock).
+WORK_COUNTERS = ("series_lower_bounds", "exact_distances", "leaves_visited",
+                 "nodes_pruned", "leaves_pruned_in_queue", "timed_out")
+
+#: Per-shard index factories whose trees take the tree path (7.5 to 10
+#: series per leaf on 30-row shards) and the certified flat path
+#: (shattered leaves).
+PATH_FACTORIES = {
+    "tree": lambda: SofaIndex(word_length=2, alphabet_size=4, leaf_size=30),
+    "flat": _factory,
+}
+
+
+def assert_single_scatter_parity(index, queries, k: int) -> None:
+    """``index.knn(q)`` equals ``index.knn_batch(q[None])[0]``: the same
+    ids, distances, scatter accounting and work counters."""
+    for query in queries:
+        single = index.knn(query, k=k)
+        batched = index.knn_batch(query[None], k=k)[0]
+        _assert_same_result(single, batched)
+        for name in WORK_COUNTERS + ("num_series", "shards_total",
+                                     "shards_answered", "partial"):
+            assert (getattr(single.stats, name)
+                    == getattr(batched.stats, name)), name
 
 
 class TestHealthyBitIdentity:
@@ -103,6 +130,28 @@ class TestHealthyBitIdentity:
             for query in queries:
                 _assert_same_result(sharded.knn(query, k=8),
                                     reference.knn(query, k=8))
+        finally:
+            sharded.close()
+
+
+class TestSingleScatterParity:
+    """Single-query ``knn`` scatters exactly like ``knn_batch``: each shard
+    searches once on its own best-so-far, so a query's answer and work do
+    not depend on the entry point."""
+
+    @pytest.mark.parametrize("path", sorted(PATH_FACTORIES))
+    @pytest.mark.parametrize("k", [1, 5])
+    def test_knn_equals_a_batch_of_one(self, tmp_path, base_rows, queries,
+                                       path, k):
+        sharded = ShardedIndex.build(
+            base_rows[:90], tmp_path / "s", num_shards=3,
+            index_factory=PATH_FACTORIES[path],
+            health=HealthPolicy(auto_probe=False))
+        try:
+            flat = {uses_flat_refinement(sharded._engine(shard).tree)
+                    for shard in sharded._shards}
+            assert flat == {path == "flat"}
+            assert_single_scatter_parity(sharded, queries, k)
         finally:
             sharded.close()
 
@@ -276,6 +325,9 @@ class TestValidation:
     def test_build_parameters(self, tmp_path, base_rows):
         with pytest.raises(InvalidParameterError, match="num_shards"):
             ShardedIndex.build(base_rows, tmp_path / "a", num_shards=0,
+                               index_factory=_factory)
+        with pytest.raises(InvalidParameterError, match="num_shards"):
+            ShardedIndex.build(base_rows, tmp_path / "t", num_shards=True,
                                index_factory=_factory)
         with pytest.raises(InvalidParameterError, match="non-empty shards"):
             ShardedIndex.build(base_rows[:2], tmp_path / "b", num_shards=5,

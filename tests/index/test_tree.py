@@ -22,7 +22,7 @@ class TestConstruction:
         with pytest.raises(InvalidParameterError):
             TreeIndex(SAX(), leaf_size=0)
 
-    @pytest.mark.parametrize("leaf_size", ["3", 2.5, None])
+    @pytest.mark.parametrize("leaf_size", ["3", 2.5, None, True])
     def test_non_integral_leaf_size_is_typed(self, leaf_size):
         """A non-integer capacity fails typed, not as a bare ``TypeError``
         from the range comparison."""

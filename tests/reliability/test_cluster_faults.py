@@ -51,6 +51,7 @@ from repro.cluster import (
 from repro.core.errors import ReadOnlyIndexError, ReproError, ShardError
 from repro.datasets.synthetic import random_walk
 from repro.index.persistence import save_index
+from repro.index.search import uses_flat_refinement
 from repro.index.shard_health import HealthPolicy, RetryPolicy
 from repro.index.sharded import ShardedIndex
 from repro.index.sofa import SofaIndex
@@ -154,6 +155,40 @@ class TestHealthyIdentity:
         finally:
             cluster.close()
             built.close()
+
+    @pytest.mark.parametrize("path", ["tree", "flat"])
+    def test_knn_equals_a_batch_of_one(self, tmp_path, base_rows, queries,
+                                       path):
+        """Across the wire too, ``knn(q)`` is ``knn_batch(q[None])[0]``:
+        the same ids, distances and work counters, on tree-path shards
+        (7.5 to 10 series per leaf) and flat-path ones."""
+        factory = _factory if path == "flat" else (
+            lambda: SofaIndex(word_length=2, alphabet_size=4, leaf_size=30))
+        snapshot = tmp_path / path
+        built = ShardedIndex.build(base_rows, snapshot,
+                                   num_shards=NUM_SHARDS,
+                                   index_factory=factory)
+        assert {uses_flat_refinement(built._engine(shard).tree)
+                for shard in built._shards} == {path == "flat"}
+        built.close()
+        cluster = _launch(snapshot)
+        try:
+            for k in (1, 5):
+                for query in queries:
+                    single = cluster.knn(query, k=k)
+                    batched = cluster.knn_batch(query[None], k=k)[0]
+                    np.testing.assert_array_equal(single.indices,
+                                                  batched.indices)
+                    np.testing.assert_array_equal(single.distances,
+                                                  batched.distances)
+                    for name in ("num_series", "series_lower_bounds",
+                                 "exact_distances", "leaves_visited",
+                                 "nodes_pruned", "leaves_pruned_in_queue",
+                                 "timed_out", "shards_answered"):
+                        assert (getattr(single.stats, name)
+                                == getattr(batched.stats, name)), name
+        finally:
+            cluster.close()
 
     def test_batch_bit_identical(self, snapshot, base_rows, queries):
         built = ShardedIndex.load(snapshot)

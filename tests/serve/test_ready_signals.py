@@ -107,6 +107,20 @@ class TestWorkerMode:
         status, payload = http.post("/shard/shard_probe", {})
         assert status == 200 and payload["ok"] is True
 
+    def test_a_threshold_field_does_not_change_the_answer(
+            self, worker_server, serve_queries, make_client):
+        """The shard RPC takes no pruning bound from its caller: a body that
+        carries one is answered exactly like a body without it."""
+        http = make_client(worker_server.url)
+        body = {"query": [float(v) for v in serve_queries[0]], "k": 3}
+        _, plain = http.post("/shard/shard_knn", body)
+        status, bounded = http.post("/shard/shard_knn",
+                                    {**body, "threshold": -1})
+        assert status == 200
+        assert len(plain["ids"]) == 3
+        assert bounded["ids"] == plain["ids"]
+        assert bounded["squared"] == plain["squared"]
+
     def test_worker_mode_refuses_public_writes(self, worker_server,
                                                serve_rows, make_client):
         http = make_client(worker_server.url)
